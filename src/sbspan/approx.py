@@ -7,6 +7,8 @@ spanning subgraphs.
 * ``algorithm3``: protect a greedy degree cover, then delete everything else
   that can go.
 
+All three share one edge-deletion pass over mutable adjacency, differing
+only in the predicate a deletion must keep and the edges it may not touch.
 Every scan walks edges in canonical order, so identical inputs produce
 identical outputs.
 """
@@ -15,15 +17,16 @@ import time
 from dataclasses import dataclass, field
 
 from .connectivity import (
-    _biconnected,
+    _is_2vc,
+    _is_2vsb,
+    _sb_without,
     _sbcc_comembership,
-    _strongly_connected,
     _und_adj,
     b_articulation_points,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
 )
-from .graph import DiGraph, Edge, build, delete_edge, delete_vertex
+from .graph import DiGraph, Edge, build, delete_vertex
 
 
 class RepairLoopStalled(RuntimeError):
@@ -63,7 +66,33 @@ def _require_feasible(g: DiGraph) -> None:
         raise ValueError("input is not 2-vertex strongly biconnected")
 
 
-def minimal_2vcss(g: DiGraph, sap_method: str = "fast") -> DiGraph:
+def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
+    """Delete, in canonical order, every unprotected edge whose removal keeps
+    ``keeps(n, out_adj, in_adj)`` true; build the DiGraph once, at the end.
+
+    Works on one mutable copy of the adjacency lists, re-appending an edge
+    whose deletion fails the test.  The output equals that of rebuilding the
+    graph per candidate, byte for byte: every predicate core depends only on
+    the edge set, not on neighbour order.
+    """
+    n = g.n
+    out_adj = [list(a) for a in g.out_adj]
+    in_adj = [list(a) for a in g.in_adj]
+    kept: list[Edge] = []
+    for e in g.edges:
+        if e not in protected:
+            u, v = e
+            out_adj[u].remove(v)
+            in_adj[v].remove(u)
+            if keeps(n, out_adj, in_adj):
+                continue
+            out_adj[u].append(v)
+            in_adj[v].append(u)
+        kept.append(e)
+    return build(n, kept)
+
+
+def minimal_2vcss(g: DiGraph) -> DiGraph:
     """Minimal 2-vertex-connected spanning subgraph by one deletion pass.
 
     Scans edges in canonical order and deletes each one whose removal keeps
@@ -71,21 +100,9 @@ def minimal_2vcss(g: DiGraph, sap_method: str = "fast") -> DiGraph:
     addition makes the single pass minimal: every surviving edge is
     individually necessary.
     """
-    if not is_2vertex_connected(g, method=sap_method):
+    if not is_2vertex_connected(g):
         raise ValueError("input is not 2-vertex connected")
-    h = g
-    for e in g.edges:
-        candidate = delete_edge(h, e)
-        if is_2vertex_connected(candidate, method=sap_method):
-            h = candidate
-    return h
-
-
-def _is_b_articulation(g: DiGraph, v: int, und) -> bool:
-    return not (
-        _strongly_connected(g.out_adj, g.in_adj, g.n, v)
-        and _biconnected(und, g.n, v)
-    )
+    return _deletion_pass(g, _is_2vc)
 
 
 def _repair(full: DiGraph, gplus: DiGraph, v: int) -> DiGraph:
@@ -105,18 +122,18 @@ def _repair(full: DiGraph, gplus: DiGraph, v: int) -> DiGraph:
     )
 
 
-def algorithm1(
-    g: DiGraph, *, precheck: bool = True, sap_method: str = "fast"
-) -> AlgoResult:
+def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     """Minimal 2-vertex-connected subgraph plus b-articulation repair."""
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
-    gplus = minimal_2vcss(g, sap_method=sap_method)
+    gplus = minimal_2vcss(g)
     bap = frozenset(b_articulation_points(gplus))
     added = 0
     for v in sorted(bap):
-        while _is_b_articulation(gplus, v, _und_adj(gplus)):
+        # v stays a b-articulation point until gplus - v is strongly biconnected
+        while not _sb_without(gplus.n, gplus.out_adj, gplus.in_adj,
+                              _und_adj(gplus.out_adj, gplus.in_adj), v):
             gplus = _repair(g, gplus, v)
             added += 1
     elapsed = time.perf_counter() - t0
@@ -137,20 +154,14 @@ def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
-    h = g
-    removed = 0
-    for e in g.edges:
-        candidate = delete_edge(h, e)
-        if is_2v_strongly_biconnected(candidate):
-            h = candidate
-            removed += 1
+    h = _deletion_pass(g, _is_2vsb)
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,
         algorithm="alg2",
         elapsed=elapsed,
         edges_out=h.m,
-        trace=AlgoTrace(edges_removed=removed),
+        trace=AlgoTrace(edges_removed=g.m - h.m),
     )
 
 
@@ -185,21 +196,12 @@ def algorithm3(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
         _require_feasible(g)
     t0 = time.perf_counter()
     cover = greedy_degree_cover(g)
-    protected = set(cover)
-    h = g
-    removed = 0
-    for e in g.edges:
-        if e in protected:
-            continue
-        candidate = delete_edge(h, e)
-        if is_2v_strongly_biconnected(candidate):
-            h = candidate
-            removed += 1
+    h = _deletion_pass(g, _is_2vsb, set(cover))
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,
         algorithm="alg3",
         elapsed=elapsed,
         edges_out=h.m,
-        trace=AlgoTrace(edges_removed=removed, phase1_size=len(cover)),
+        trace=AlgoTrace(edges_removed=g.m - h.m, phase1_size=len(cover)),
     )

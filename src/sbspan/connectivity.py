@@ -6,7 +6,9 @@ by requiring the property to survive every single-vertex deletion, strong
 articulation points by definition, b-articulation points, and the
 strongly-biconnected-component co-membership test.
 
-Every predicate is a pure function of an immutable graph.  The per-vertex
+Every public predicate is a pure function of an immutable graph and unwraps
+an underscore core over ``(n, out_adj, in_adj)`` adjacency, which the
+deletion pass in ``approx`` calls on mutable lists.  The per-vertex
 deletion checks run DFS cores that treat one vertex as absent instead of
 materializing each deleted graph; the semantics are identical to composing
 ``delete_vertex`` with the whole-graph predicates (the test suite checks
@@ -121,39 +123,50 @@ def _biconnected(adj, n: int, skip: int | None = None) -> bool:
     return visited == n_eff and root_children < 2
 
 
-def _und_adj(g: DiGraph) -> list[tuple[int, ...]]:
+def _und_adj(out_adj, in_adj) -> list[tuple[int, ...]]:
     """Underlying-graph adjacency (antiparallel edges merged)."""
-    out_adj, in_adj = g.out_adj, g.in_adj
-    return [tuple(dict.fromkeys(out_adj[v] + in_adj[v])) for v in range(g.n)]
+    return [tuple(dict.fromkeys(a + b)) for a, b in zip(out_adj, in_adj)]
 
 
-def _two_vsb_violation(g: DiGraph, hint: int = 0) -> int | None:
-    """None when g is 2-vertex strongly biconnected; otherwise a witness.
+def _sb_without(n: int, out_adj, in_adj, und, v: int | None = None) -> bool:
+    """Strongly biconnected with v treated as absent (the whole graph if None)."""
+    return _strongly_connected(out_adj, in_adj, n, v) and _biconnected(und, n, v)
+
+
+def _two_vsb_violation(n: int, out_adj, in_adj, hint: int = 0) -> int | None:
+    """None when the graph is 2-vertex strongly biconnected; else a witness.
 
     Returns -1 for a whole-graph failure (n < 4, a vertex below the in/out
-    degree-2 floor, or g itself not strongly biconnected), else the first
-    vertex whose deletion breaks strong biconnectivity, scanning from hint.
+    degree-2 floor, or the graph itself not strongly biconnected), else the
+    first vertex whose deletion breaks strong biconnectivity, scanning from
+    hint.
     """
-    n = g.n
-    if n < 4:
+    if n < 4 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
         return -1
-    out_adj, in_adj = g.out_adj, g.in_adj
-    for a in out_adj:
-        if len(a) < 2:
-            return -1
-    for a in in_adj:
-        if len(a) < 2:
-            return -1
-    und = _und_adj(g)
-    if not (_strongly_connected(out_adj, in_adj, n) and _biconnected(und, n)):
+    und = _und_adj(out_adj, in_adj)
+    if not _sb_without(n, out_adj, in_adj, und):
         return -1
     for i in range(n):
         v = (hint + i) % n
-        if not (
-            _strongly_connected(out_adj, in_adj, n, v) and _biconnected(und, n, v)
-        ):
+        if not _sb_without(n, out_adj, in_adj, und, v):
             return v
     return None
+
+
+def _is_2vsb(n: int, out_adj, in_adj) -> bool:
+    return _two_vsb_violation(n, out_adj, in_adj) is None
+
+
+def _is_2vc(n: int, out_adj, in_adj) -> bool:
+    """n >= 3, in/out-degree >= 2, strongly connected, and no strong
+    articulation point (dominator-based test)."""
+    if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
+        return False
+    if not _strongly_connected(out_adj, in_adj, n):
+        return False
+    from .dominators import _strong_articulation_points
+
+    return not _strong_articulation_points(n, out_adj, in_adj)
 
 
 # ---- public predicates ------------------------------------------------------
@@ -294,9 +307,7 @@ def is_biconnected(u: UGraphView) -> bool:
 
 def is_strongly_biconnected(g: DiGraph) -> bool:
     """Strongly connected and the underlying graph is biconnected."""
-    return _strongly_connected(g.out_adj, g.in_adj, g.n) and _biconnected(
-        _und_adj(g), g.n
-    )
+    return _sb_without(g.n, g.out_adj, g.in_adj, _und_adj(g.out_adj, g.in_adj))
 
 
 def strong_articulation_points_bruteforce(g: DiGraph) -> set[int]:
@@ -314,30 +325,9 @@ def strong_articulation_points_bruteforce(g: DiGraph) -> set[int]:
     }
 
 
-def is_2vertex_connected(g: DiGraph, method: str = "fast") -> bool:
-    """Strongly connected, n >= 3, and no strong articulation point.
-
-    ``method`` selects the articulation-point routine: "fast" uses the
-    dominator-based algorithm, "brute" the per-vertex definition check.
-    """
-    if method not in ("fast", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    n = g.n
-    if n < 3:
-        return False
-    for a in g.out_adj:
-        if len(a) < 2:
-            return False
-    for a in g.in_adj:
-        if len(a) < 2:
-            return False
-    if not _strongly_connected(g.out_adj, g.in_adj, n):
-        return False
-    if method == "brute":
-        return not strong_articulation_points_bruteforce(g)
-    from .dominators import strong_articulation_points_fast
-
-    return not strong_articulation_points_fast(g)
+def is_2vertex_connected(g: DiGraph) -> bool:
+    """Strongly connected, n >= 3, and no strong articulation point."""
+    return _is_2vc(g.n, g.out_adj, g.in_adj)
 
 
 def is_2v_strongly_biconnected(g: DiGraph) -> bool:
@@ -346,21 +336,16 @@ def is_2v_strongly_biconnected(g: DiGraph) -> bool:
     Requires n >= 4: below that no graph satisfies the property under the
     tiny-graph biconnectivity conventions.
     """
-    return _two_vsb_violation(g) is None
+    return _is_2vsb(g.n, g.out_adj, g.in_adj)
 
 
 def b_articulation_points(g: DiGraph) -> set[int]:
     """Vertices whose deletion leaves a graph that is not strongly biconnected."""
     if g.n < 2:
         raise ValueError("b-articulation points require n >= 2")
-    out_adj, in_adj, n = g.out_adj, g.in_adj, g.n
-    und = _und_adj(g)
+    und = _und_adj(g.out_adj, g.in_adj)
     return {
-        v
-        for v in range(n)
-        if not (
-            _strongly_connected(out_adj, in_adj, n, v) and _biconnected(und, n, v)
-        )
+        v for v in range(g.n) if not _sb_without(g.n, g.out_adj, g.in_adj, und, v)
     }
 
 

@@ -30,12 +30,15 @@ def reverse(g: DiGraph) -> DiGraph:
     return build(g.n, [(v, u) for u, v in g.edges])
 
 
-def dominator_tree(g: DiGraph, root: int) -> DomTree:
-    """Immediate dominators of every vertex reachable from root."""
-    n = g.n
+def dominator_tree(succ, pred, root: int) -> DomTree:
+    """Immediate dominators of every vertex reachable from root.
+
+    ``succ``/``pred`` are the out- and in-adjacency lists; swapping them
+    gives the dominator tree of the reverse graph.
+    """
+    n = len(succ)
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
-    adj = g.out_adj
     # DFS postorder from the root.
     ptr = [0] * n
     seen = bytearray(n)
@@ -44,7 +47,7 @@ def dominator_tree(g: DiGraph, root: int) -> DomTree:
     stack = [root]
     while stack:
         v = stack[-1]
-        av = adj[v]
+        av = succ[v]
         i = ptr[v]
         if i < len(av):
             ptr[v] = i + 1
@@ -59,7 +62,7 @@ def dominator_tree(g: DiGraph, root: int) -> DomTree:
     rpo_num = [-1] * n
     for i, v in enumerate(rpo):
         rpo_num[v] = i
-    preds = [[u for u in g.in_adj[v] if seen[u]] for v in range(n)]
+    preds = [[u for u in pred[v] if seen[u]] for v in range(n)]
 
     idom = [-1] * n
     idom[root] = root
@@ -93,18 +96,30 @@ def dominator_tree(g: DiGraph, root: int) -> DomTree:
     return DomTree(root=root, idom=out, reachable=tuple(map(bool, seen)))
 
 
+def _nontrivial(tree: DomTree) -> set[int]:
+    return {d for d in tree.idom if d is not None and d != tree.root}
+
+
 def nontrivial_dominators(g: DiGraph, root: int) -> set[int]:
     """Non-root vertices that immediately dominate some other vertex.
 
     Requires every vertex to be reachable from root.
     """
-    tree = dominator_tree(g, root)
+    tree = dominator_tree(g.out_adj, g.in_adj, root)
     if not all(tree.reachable):
         unreachable = [v for v in range(g.n) if not tree.reachable[v]]
         raise ValueError(f"vertices unreachable from root {root}: {unreachable}")
-    return {
-        d for v, d in enumerate(tree.idom) if d is not None and d != root
-    }
+    return _nontrivial(tree)
+
+
+def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int]:
+    """Dominator-based core of ``strong_articulation_points_fast`` over
+    adjacency lists; the graph must be strongly connected with n >= 3."""
+    points = _nontrivial(dominator_tree(out_adj, in_adj, 0))
+    points |= _nontrivial(dominator_tree(in_adj, out_adj, 0))
+    if not _strongly_connected(out_adj, in_adj, n, 0):
+        points.add(0)
+    return points
 
 
 def strong_articulation_points_fast(g: DiGraph) -> set[int]:
@@ -117,9 +132,4 @@ def strong_articulation_points_fast(g: DiGraph) -> set[int]:
         raise ValueError(f"strong articulation points require n >= 3, got n={g.n}")
     if not _strongly_connected(g.out_adj, g.in_adj, g.n):
         raise ValueError("graph must be strongly connected")
-    s = 0
-    points = nontrivial_dominators(g, s)
-    points |= nontrivial_dominators(reverse(g), s)
-    if not _strongly_connected(g.out_adj, g.in_adj, g.n, s):
-        points.add(s)
-    return points
+    return _strong_articulation_points(g.n, g.out_adj, g.in_adj)

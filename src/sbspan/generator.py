@@ -76,7 +76,7 @@ def generate(cfg: GenConfig) -> DiGraph:
     g = build(n, edges)
     hint = 0
     while True:
-        violation = _two_vsb_violation(g, hint)
+        violation = _two_vsb_violation(n, g.out_adj, g.in_adj, hint)
         if violation is None:
             return g
         hint = violation if violation >= 0 else 0

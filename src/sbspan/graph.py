@@ -3,8 +3,8 @@
 A graph is a value: vertex count ``n`` plus an ordered edge sequence whose
 construction order is the canonical order used by every deterministic scan
 in this package.  Edges are plain ``(tail, head)`` int pairs.  Deletions
-return new values instead of mutating, so speculative edits are cheap to
-roll back.
+return new values, so graphs can be shared and hashed; the algorithms'
+deletion pass edits its own copy of the adjacency and builds once.
 """
 
 from dataclasses import dataclass, field

@@ -11,7 +11,9 @@ from sbspan import (
     greedy_degree_cover,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
+    is_strongly_connected,
     minimal_2vcss,
+    strong_articulation_points_bruteforce,
 )
 from sbspan.fixtures import BK4, C4, CHAIN4, OCT8
 
@@ -39,9 +41,17 @@ class TestMinimal2vcss:
             minimal_2vcss(C4)
 
     def test_sap_methods_agree(self):
+        # every edge kept by the dominator-based pass is necessary by the
+        # brute-force strong-articulation-point definition
         for g in small_instances(6, start_seed=40):
-            assert minimal_2vcss(g, sap_method="fast") == \
-                minimal_2vcss(g, sap_method="brute")
+            h = minimal_2vcss(g)
+            for e in h.edges:
+                d = delete_edge(h, e)
+                assert (
+                    min(map(len, d.out_adj + d.in_adj)) < 2
+                    or not is_strongly_connected(d)
+                    or strong_articulation_points_bruteforce(d)
+                )
 
     def test_output_spans_and_is_subgraph(self):
         for g in small_instances(4, start_seed=80):
@@ -215,3 +225,33 @@ class TestSharedContracts:
     def test_elapsed_recorded(self):
         r = algorithm2(OCT8)
         assert r.elapsed >= 0.0
+
+
+def _rebuild_per_candidate(g, predicate, protected=frozenset()):
+    """Reference deletion loop: one delete_edge rebuild and one public
+    predicate call per candidate edge."""
+    h = g
+    for e in g.edges:
+        if e not in protected:
+            candidate = delete_edge(h, e)
+            if predicate(candidate):
+                h = candidate
+    return h
+
+
+class TestDeletionPass:
+    def test_matches_rebuild_per_candidate(self):
+        for n in range(4, 13):
+            for seed in range(40):
+                g = generate(GenConfig(n=n, seed=seed))
+                r2 = algorithm2(g, precheck=False)
+                ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected)
+                assert r2.subgraph == ref, (n, seed)
+                assert r2.trace.edges_removed == g.m - ref.m
+                r3 = algorithm3(g, precheck=False)
+                cover = set(greedy_degree_cover(g))
+                ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected, cover)
+                assert r3.subgraph == ref, (n, seed)
+                assert r3.trace.edges_removed == g.m - ref.m
+                ref = _rebuild_per_candidate(g, is_2vertex_connected)
+                assert minimal_2vcss(g) == ref, (n, seed)

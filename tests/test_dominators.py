@@ -36,32 +36,32 @@ def random_sc_graph(seed, max_n=30):
 
 class TestDominatorTree:
     def test_chain(self):
-        t = dominator_tree(CHAIN4, 0)
+        t = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 0)
         assert t.idom == (None, 0, 1, 2)
         assert all(t.reachable)
 
     def test_diamond(self):
-        t = dominator_tree(DIAMOND, 0)
+        t = dominator_tree(DIAMOND.out_adj, DIAMOND.in_adj, 0)
         assert t.idom == (None, 0, 0, 0)
 
     def test_cycle(self):
-        t = dominator_tree(C4, 0)
+        t = dominator_tree(C4.out_adj, C4.in_adj, 0)
         assert t.idom == (None, 0, 1, 2)
 
     def test_unreachable_flagged(self):
-        t = dominator_tree(CHAIN4, 2)
+        t = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 2)
         assert t.reachable == (False, False, True, True)
         assert t.idom == (None, None, None, 2)
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
-            dominator_tree(C4, 4)
+            dominator_tree(C4.out_adj, C4.in_adj, 4)
 
     def test_idom_lies_on_every_path(self):
         # idom(v) removal makes v unreachable from the root
         for seed in range(30):
             g = random_sc_graph(seed, max_n=15)
-            t = dominator_tree(g, 0)
+            t = dominator_tree(g.out_adj, g.in_adj, 0)
             for v in range(1, g.n):
                 d = t.idom[v]
                 assert d is not None
@@ -81,7 +81,7 @@ class TestDominatorTree:
     def test_independent_of_edge_order(self):
         for seed in range(20):
             g = random_sc_graph(seed + 300, max_n=15)
-            base = dominator_tree(g, 0).idom
+            base = dominator_tree(g.out_adj, g.in_adj, 0).idom
             edges = list(g.edges)
             rng = RngState(seed)
             for _ in range(3):
@@ -89,7 +89,8 @@ class TestDominatorTree:
                 for i in range(len(edges) - 1, 0, -1):
                     rng, j = rng_below(rng, i + 1)
                     edges[i], edges[j] = edges[j], edges[i]
-                assert dominator_tree(build(g.n, edges), 0).idom == base
+                h = build(g.n, edges)
+                assert dominator_tree(h.out_adj, h.in_adj, 0).idom == base
 
 
 class TestNontrivialDominators:
@@ -121,6 +122,14 @@ class TestNontrivialDominators:
 class TestReverse:
     def test_edges_flipped_in_order(self):
         assert reverse(C4).edges == ((1, 0), (2, 1), (3, 2), (0, 3))
+
+    def test_swapped_lists_give_reverse_tree(self):
+        for seed in range(10):
+            g = random_sc_graph(seed + 950, max_n=12)
+            r = reverse(g)
+            for root in (0, g.n - 1):
+                assert dominator_tree(g.in_adj, g.out_adj, root) == \
+                    dominator_tree(r.out_adj, r.in_adj, root)
 
     def test_involution(self):
         for seed in range(10):
