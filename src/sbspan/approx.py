@@ -8,17 +8,19 @@ spanning subgraphs.
   that can go.
 
 All three share one edge-deletion pass over mutable adjacency, differing
-only in the predicate a deletion must keep and the edges it may not touch.
-Every scan walks edges in canonical order, so identical inputs produce
-identical outputs.
+only in the property a deletion must keep and the edges it may not touch.
+Each candidate is judged by a local disjoint-paths test of the deleted edge,
+which is exact because the current subgraph is always feasible.  Every scan
+walks edges in canonical order, so identical inputs produce identical
+outputs.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from .connectivity import (
-    _is_2vc,
-    _is_2vsb,
+    _keeps_2vc,
+    _keeps_2vsb,
     _sb_without,
     _sbcc_comembership,
     _und_adj,
@@ -67,13 +69,18 @@ def _require_feasible(g: DiGraph) -> None:
 
 
 def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
-    """Delete, in canonical order, every unprotected edge whose removal keeps
-    ``keeps(n, out_adj, in_adj)`` true; build the DiGraph once, at the end.
+    """Delete, in canonical order, every unprotected edge (u, v) for which
+    ``keeps(n, out_adj, in_adj, u, v)`` holds on the graph without it; build
+    the DiGraph once, at the end.
 
-    Works on one mutable copy of the adjacency lists, re-appending an edge
-    whose deletion fails the test.  The output equals that of rebuilding the
-    graph per candidate, byte for byte: every predicate core depends only on
-    the edge set, not on neighbour order.
+    ``keeps`` is a local test of the deleted edge (``_keeps_2vc``,
+    ``_keeps_2vsb``), exact only when the graph was feasible before the
+    deletion.  The caller guarantees that g is feasible; every accepted
+    deletion keeps the current subgraph feasible, so the guarantee holds
+    inductively.  Works on one mutable copy of the adjacency lists,
+    re-appending an edge whose deletion fails the test.  The output equals
+    that of rebuilding the graph per candidate and re-checking the
+    definition-level predicate, byte for byte.
     """
     n = g.n
     out_adj = [list(a) for a in g.out_adj]
@@ -84,7 +91,7 @@ def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
             u, v = e
             out_adj[u].remove(v)
             in_adj[v].remove(u)
-            if keeps(n, out_adj, in_adj):
+            if keeps(n, out_adj, in_adj, u, v):
                 continue
             out_adj[u].append(v)
             in_adj[v].append(u)
@@ -98,11 +105,12 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
     Scans edges in canonical order and deletes each one whose removal keeps
     the graph 2-vertex connected.  Monotonicity of the property under edge
     addition makes the single pass minimal: every surviving edge is
-    individually necessary.
+    individually necessary.  The input check also makes the pass's local
+    test exact.
     """
     if not is_2vertex_connected(g):
         raise ValueError("input is not 2-vertex connected")
-    return _deletion_pass(g, _is_2vc)
+    return _deletion_pass(g, _keeps_2vc)
 
 
 def _repair(full: DiGraph, gplus: DiGraph, v: int) -> DiGraph:
@@ -123,7 +131,11 @@ def _repair(full: DiGraph, gplus: DiGraph, v: int) -> DiGraph:
 
 
 def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
-    """Minimal 2-vertex-connected subgraph plus b-articulation repair."""
+    """Minimal 2-vertex-connected subgraph plus b-articulation repair.
+
+    With ``precheck=False`` the caller guarantees a feasible (2-vertex
+    strongly biconnected) input.
+    """
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
@@ -150,11 +162,13 @@ def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     """Greedy deletion scan keeping 2-vertex strong biconnectivity.
 
     The output is minimal: deleting any surviving edge breaks the property.
+    With ``precheck=False`` the caller guarantees a feasible input; the
+    deletion pass's local test is exact only on one.
     """
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
-    h = _deletion_pass(g, _is_2vsb)
+    h = _deletion_pass(g, _keeps_2vsb)
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,
@@ -190,13 +204,14 @@ def algorithm3(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     """Degree-cover phase, then deletion scan over the uncovered edges.
 
     Edges of the cover are never deleted; every surviving edge outside it is
-    individually necessary.
+    individually necessary.  With ``precheck=False`` the caller guarantees a
+    feasible input; the deletion pass's local test is exact only on one.
     """
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
     cover = greedy_degree_cover(g)
-    h = _deletion_pass(g, _is_2vsb, set(cover))
+    h = _deletion_pass(g, _keeps_2vsb, set(cover))
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .approx import AlgoResult, _deletion_pass, algorithm1, algorithm2, algorithm3
 from .connectivity import (
-    _is_2vsb,
+    _keeps_2vsb,
     b_articulation_points,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
@@ -182,7 +182,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             status = 1
         if args.minimal:
             # Minimal iff the pass deletes nothing: h equals sub until then.
-            minimal = _deletion_pass(sub, _is_2vsb).m == sub.m
+            # Its local test needs a feasible sub; an infeasible one is
+            # vacuously minimal, as no deletion restores feasibility.
+            minimal = not feasible or _deletion_pass(sub, _keeps_2vsb).m == sub.m
             print(f"subgraph_minimal: {'pass' if minimal else 'fail'}")
             if not minimal:
                 status = 1

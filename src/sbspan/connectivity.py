@@ -7,12 +7,16 @@ articulation points by definition, b-articulation points, and the
 strongly-biconnected-component co-membership test.
 
 Every public predicate is a pure function of an immutable graph and unwraps
-an underscore core over ``(n, out_adj, in_adj)`` adjacency, which the
-deletion pass in ``approx`` calls on mutable lists.  The per-vertex
-deletion checks run DFS cores that treat one vertex as absent instead of
-materializing each deleted graph; the semantics are identical to composing
-``delete_vertex`` with the whole-graph predicates (the test suite checks
-this equivalence on random instances).
+an underscore core over ``(n, out_adj, in_adj)`` adjacency, which also
+accepts mutable lists.  The per-vertex deletion checks run DFS cores that
+treat one vertex as absent instead of materializing each deleted graph; the
+semantics are identical to composing ``delete_vertex`` with the whole-graph
+predicates (the test suite checks this equivalence on random instances).
+
+The deletion pass in ``approx`` judges each candidate edge locally instead:
+``_keeps_2vc``/``_keeps_2vsb`` count internally vertex-disjoint paths
+between the edge's endpoints (Menger's theorem), which is exact when the
+graph was feasible before the deletion.
 """
 
 from dataclasses import dataclass
@@ -153,20 +157,90 @@ def _two_vsb_violation(n: int, out_adj, in_adj, hint: int = 0) -> int | None:
     return None
 
 
-def _is_2vsb(n: int, out_adj, in_adj) -> bool:
-    return _two_vsb_violation(n, out_adj, in_adj) is None
+def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
+                    undirected: bool = False) -> bool:
+    """True iff there are at least k internally vertex-disjoint s->t paths.
+
+    Unit-capacity max flow on the implicit vertex-split graph, one BFS
+    augmentation per path, stopping at the first BFS that fails.  State 2x
+    is x's in-copy and 2x+1 its out-copy; an internal vertex x carries flow
+    iff ``prv[x]`` (its flow predecessor) is set.  With ``undirected`` the
+    underlying graph is searched: x's neighbours are ``out_adj[x]`` plus
+    ``in_adj[x]``.  Requires s != t and no edge s->t (in underlying mode, s
+    and t not adjacent), so that every path has an internal vertex.
+    """
+    adjs = (out_adj, in_adj) if undirected else (out_adj,)
+    n = len(out_adj)
+    prv = [-1] * n
+    src, target = 2 * s + 1, 2 * t
+    for _ in range(k):
+        par = [-1] * (2 * n)
+        par[src] = par[2 * s] = src  # s's in-copy is never entered
+        queue = [src]
+        for state in queue:
+            x = state >> 1
+            if state & 1:
+                for adj in adjs:
+                    for y in adj[x]:
+                        w = 2 * y
+                        if par[w] < 0:
+                            par[w] = state
+                            queue.append(w)
+                # residual of x's saturated split arc runs out -> in
+                if prv[x] >= 0 and par[2 * x] < 0:
+                    par[2 * x] = state
+                    queue.append(2 * x)
+            else:
+                # a free vertex passes on to its out-copy; a used one only
+                # back along its flow edge, cancelling it
+                p = prv[x]
+                w = 2 * x + 1 if p < 0 else 2 * p + 1
+                if par[w] < 0:
+                    par[w] = state
+                    queue.append(w)
+            if par[target] >= 0:
+                break
+        else:
+            return False
+        # Walking back, a vertex's cancelled in-edge precedes its new one.
+        w = target
+        while w != src:
+            p = par[w]
+            if p >> 1 != w >> 1:
+                if w & 1:
+                    prv[p >> 1] = -1
+                else:
+                    prv[w >> 1] = p >> 1
+            w = p
+    return True
 
 
-def _is_2vc(n: int, out_adj, in_adj) -> bool:
-    """n >= 3, in/out-degree >= 2, strongly connected, and no strong
-    articulation point (dominator-based test)."""
-    if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
-        return False
-    if not _strongly_connected(out_adj, in_adj, n):
-        return False
-    from .dominators import _strong_articulation_points
+def _keeps_2vc(n: int, out_adj, in_adj, u: int, v: int) -> bool:
+    """Whether a 2-vertex-connected graph stays so without edge (u, v).
 
-    return not _strong_articulation_points(n, out_adj, in_adj)
+    Called on the graph with (u, v) already deleted.  Exact only when the
+    graph was 2-vertex connected before the deletion: then any separating
+    vertex of the rest would split u from v, so two internally disjoint
+    u->v paths suffice.
+    """
+    return _disjoint_paths(out_adj, in_adj, u, v, 2)
+
+
+def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
+    """Whether a 2-vertex strongly biconnected graph stays so without (u, v).
+
+    Called on the graph with (u, v) already deleted; exact only when the
+    graph was 2VSB before the deletion.  2VSB (n >= 4) is 2-vertex
+    connectivity plus 3-vertex connectivity of the underlying graph, so the
+    deletion keeps it iff two internally disjoint u->v paths remain and,
+    unless the antiparallel edge (v, u) keeps the underlying graph
+    unchanged, three internally disjoint u-v paths remain in the underlying
+    graph.
+    """
+    return _disjoint_paths(out_adj, in_adj, u, v, 2) and (
+        u in out_adj[v]
+        or _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True)
+    )
 
 
 # ---- public predicates ------------------------------------------------------
@@ -326,8 +400,19 @@ def strong_articulation_points_bruteforce(g: DiGraph) -> set[int]:
 
 
 def is_2vertex_connected(g: DiGraph) -> bool:
-    """Strongly connected, n >= 3, and no strong articulation point."""
-    return _is_2vc(g.n, g.out_adj, g.in_adj)
+    """Strongly connected, n >= 3, and no strong articulation point.
+
+    Also requires in/out-degree >= 2; the articulation test is the
+    dominator-based one.
+    """
+    n, out_adj, in_adj = g.n, g.out_adj, g.in_adj
+    if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
+        return False
+    if not _strongly_connected(out_adj, in_adj, n):
+        return False
+    from .dominators import _strong_articulation_points
+
+    return not _strong_articulation_points(n, out_adj, in_adj)
 
 
 def is_2v_strongly_biconnected(g: DiGraph) -> bool:
@@ -336,7 +421,7 @@ def is_2v_strongly_biconnected(g: DiGraph) -> bool:
     Requires n >= 4: below that no graph satisfies the property under the
     tiny-graph biconnectivity conventions.
     """
-    return _is_2vsb(g.n, g.out_adj, g.in_adj)
+    return _two_vsb_violation(g.n, g.out_adj, g.in_adj) is None
 
 
 def b_articulation_points(g: DiGraph) -> set[int]:

@@ -60,27 +60,26 @@ def generate(cfg: GenConfig) -> DiGraph:
     rng = RngState(cfg.seed & _MASK)
     seen: set[Edge] = set()
     edges: list[Edge] = []
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
 
-    def draw_new(rng: RngState) -> tuple[RngState, Edge]:
+    def add_new(rng: RngState) -> RngState:
         while True:
             rng, u = rng_below(rng, n)
             rng, v = rng_below(rng, n)
             if u != v and (u, v) not in seen:
-                return rng, (u, v)
+                break
+        seen.add((u, v))
+        edges.append((u, v))
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+        return rng
 
     target = min(3 * n, n * (n - 1))
     while len(edges) < target:
-        rng, e = draw_new(rng)
-        seen.add(e)
-        edges.append(e)
-    g = build(n, edges)
+        rng = add_new(rng)
     hint = 0
-    while True:
-        violation = _two_vsb_violation(n, g.out_adj, g.in_adj, hint)
-        if violation is None:
-            return g
-        hint = violation if violation >= 0 else 0
-        rng, e = draw_new(rng)
-        seen.add(e)
-        edges.append(e)
-        g = build(n, edges)
+    while (violation := _two_vsb_violation(n, out_adj, in_adj, hint)) is not None:
+        hint = max(violation, 0)
+        rng = add_new(rng)
+    return build(n, edges)

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive corpus
 (n in {10, 50, 100} x seeds 1..5, all three algorithms) is computed once
 and shared; the determinism criterion repeats it from scratch.  Expect
-roughly 10-12 minutes end to end, dominated by the determinism rerun and
-the n=200 timing runs.
+about 9 s end to end on a 2-core x86-64 VM (CPython 3.11.7), dominated by
+the determinism rerun and the corpus generation.
 """
 
 import time

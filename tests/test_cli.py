@@ -111,6 +111,19 @@ class TestCheck:
         assert "subgraph_feasible: true" in out
         assert "subgraph_minimal: pass" in out
 
+    def test_infeasible_subgraph_is_vacuously_minimal(self, tmp_path, capsys):
+        from sbspan import GenConfig, algorithm2, build, generate
+
+        g = generate(GenConfig(n=10, seed=1))
+        h = algorithm2(g).subgraph
+        gpath = write_graph(tmp_path, "g.txt", g)
+        spath = write_graph(tmp_path, "sub.txt", build(h.n, h.edges[1:]))
+        assert main(["check", "--in", gpath, "--subgraph", spath,
+                     "--minimal"]) == 1
+        out = capsys.readouterr().out
+        assert "subgraph_feasible: false" in out
+        assert "subgraph_minimal: pass" in out
+
     def test_subgraph_not_subset(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "oct8.txt", OCT8)
         spath = write_graph(tmp_path, "bk4.txt", BK4)
