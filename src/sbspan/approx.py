@@ -19,12 +19,11 @@ import time
 from dataclasses import dataclass, field
 
 from .connectivity import (
+    _biconnected,
     _keeps_2vc,
     _keeps_2vsb,
-    _sb_without,
     _sbcc_comembership,
     _und_adj,
-    b_articulation_points,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
 )
@@ -140,13 +139,17 @@ def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
         _require_feasible(g)
     t0 = time.perf_counter()
     gplus = minimal_2vcss(g)
-    bap = frozenset(b_articulation_points(gplus))
+    # gplus is 2-vertex connected and only gains edges, so gplus - v stays
+    # strongly connected: v is a b-articulation point exactly while the
+    # underlying graph minus v is not biconnected.
+    n = gplus.n
+    und = _und_adj(gplus.out_adj, gplus.in_adj)
+    bap = frozenset(v for v in range(n) if not _biconnected(und, n, v))
     added = 0
     for v in sorted(bap):
-        # v stays a b-articulation point until gplus - v is strongly biconnected
-        while not _sb_without(gplus.n, gplus.out_adj, gplus.in_adj,
-                              _und_adj(gplus.out_adj, gplus.in_adj), v):
+        while not _biconnected(und, n, v):
             gplus = _repair(g, gplus, v)
+            und = _und_adj(gplus.out_adj, gplus.in_adj)
             added += 1
     elapsed = time.perf_counter() - t0
     return AlgoResult(

@@ -84,8 +84,15 @@ def _vertex_set_line(label: str, points: set[int] | None, reason: str = "") -> s
     return f"{label}: " + (" ".join(map(str, sorted(points))) if points else "none")
 
 
-def _elapsed_ms(result: AlgoResult) -> int:
-    return round(result.elapsed * 1000)
+def _row(g: DiGraph, result: AlgoResult, feasible: bool) -> BenchRow:
+    return BenchRow(n=g.n, m=g.m, algorithm=result.algorithm,
+                    elapsed_ms=round(result.elapsed * 1000),
+                    edges_out=result.edges_out, feasible=feasible)
+
+
+def _csv_line(r: BenchRow) -> str:
+    return (f"{r.n},{r.m},{r.algorithm},{r.elapsed_ms},{r.edges_out},"
+            f"{str(r.feasible).lower()}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -125,11 +132,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.out:
             path = _out_path(args.out, alg, len(algs) > 1)
             path.write_text(serialize(result.subgraph))
-        ms = _elapsed_ms(result)
+        row = _row(g, result, feasible)
         if args.csv:
-            print(f"{g.n},{g.m},{alg},{ms},{result.edges_out},{str(feasible).lower()}")
+            print(_csv_line(row))
         else:
-            print(f"{alg}: elapsed_ms={ms} edges_out={result.edges_out} "
+            print(f"{alg}: elapsed_ms={row.elapsed_ms} edges_out={row.edges_out} "
                   f"feasible={str(feasible).lower()}")
     return 0 if all_feasible else 1
 
@@ -232,23 +239,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 best = min(results, key=lambda r: r.elapsed)
                 feasible = _verify_output(g, best.subgraph)
                 all_feasible &= feasible
-                rows.append(BenchRow(
-                    n=g.n,
-                    m=g.m,
-                    algorithm=alg,
-                    elapsed_ms=_elapsed_ms(best),
-                    edges_out=best.edges_out,
-                    feasible=feasible,
-                ))
+                rows.append(_row(g, best, feasible))
 
     csv_path = Path(args.csv)
-    lines = [CSV_HEADER]
-    lines += [
-        f"{r.n},{r.m},{r.algorithm},{r.elapsed_ms},{r.edges_out},"
-        f"{str(r.feasible).lower()}"
-        for r in rows
-    ]
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n")
 
     print(_markdown_table(rows, config.algorithms))
     print(f"wrote {csv_path}", file=sys.stderr)

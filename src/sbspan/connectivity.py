@@ -13,10 +13,17 @@ treat one vertex as absent instead of materializing each deleted graph; the
 semantics are identical to composing ``delete_vertex`` with the whole-graph
 predicates (the test suite checks this equivalence on random instances).
 
-The deletion pass in ``approx`` judges each candidate edge locally instead:
-``_keeps_2vc``/``_keeps_2vsb`` count internally vertex-disjoint paths
-between the edge's endpoints (Menger's theorem), which is exact when the
-graph was feasible before the deletion.
+2-vertex strong biconnectivity (2VSB) is checked in one form everywhere: a
+graph with n >= 4 is 2VSB exactly when it is 2-vertex connected (2VC:
+strongly connected with no strong articulation point, decided by dominator
+trees) and its underlying graph is 3-vertex connected (still biconnected
+after deleting any one vertex).  This follows from the definition because
+G - v is strongly connected for every v iff G is 2VC, and the underlying
+graph of G - v is the underlying graph of G minus v.  ``_two_vsb_violation``
+decides it for a whole graph.  The deletion pass in ``approx`` judges each
+candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
+internally vertex-disjoint paths between the edge's endpoints (Menger's
+theorem), which is exact when the graph was feasible before the deletion.
 """
 
 from dataclasses import dataclass
@@ -137,24 +144,25 @@ def _sb_without(n: int, out_adj, in_adj, und, v: int | None = None) -> bool:
     return _strongly_connected(out_adj, in_adj, n, v) and _biconnected(und, n, v)
 
 
-def _two_vsb_violation(n: int, out_adj, in_adj, hint: int = 0) -> int | None:
-    """None when the graph is 2-vertex strongly biconnected; else a witness.
+def _is_2vc(n: int, out_adj, in_adj) -> bool:
+    """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2,
+    strongly connected, and no strong articulation point (dominator test)."""
+    if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
+        return False
+    if not _strongly_connected(out_adj, in_adj, n):
+        return False
+    from .dominators import _strong_articulation_points
 
-    Returns -1 for a whole-graph failure (n < 4, a vertex below the in/out
-    degree-2 floor, or the graph itself not strongly biconnected), else the
-    first vertex whose deletion breaks strong biconnectivity, scanning from
-    hint.
-    """
-    if n < 4 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
-        return -1
+    return not _strong_articulation_points(n, out_adj, in_adj)
+
+
+def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
+    """True unless the graph is 2-vertex strongly biconnected: 2VC plus a
+    3-vertex-connected underlying graph (see the module docstring)."""
+    if n < 4 or not _is_2vc(n, out_adj, in_adj):
+        return True
     und = _und_adj(out_adj, in_adj)
-    if not _sb_without(n, out_adj, in_adj, und):
-        return -1
-    for i in range(n):
-        v = (hint + i) % n
-        if not _sb_without(n, out_adj, in_adj, und, v):
-            return v
-    return None
+    return not all(_biconnected(und, n, v) for v in range(n))
 
 
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
@@ -230,12 +238,11 @@ def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
     """Whether a 2-vertex strongly biconnected graph stays so without (u, v).
 
     Called on the graph with (u, v) already deleted; exact only when the
-    graph was 2VSB before the deletion.  2VSB (n >= 4) is 2-vertex
-    connectivity plus 3-vertex connectivity of the underlying graph, so the
-    deletion keeps it iff two internally disjoint u->v paths remain and,
-    unless the antiparallel edge (v, u) keeps the underlying graph
-    unchanged, three internally disjoint u-v paths remain in the underlying
-    graph.
+    graph was 2VSB before the deletion.  By the 2VC plus underlying-3VC form
+    of 2VSB (see the module docstring), the deletion keeps it iff two
+    internally disjoint u->v paths remain and, unless the antiparallel edge
+    (v, u) keeps the underlying graph unchanged, three internally disjoint
+    u-v paths remain in the underlying graph.
     """
     return _disjoint_paths(out_adj, in_adj, u, v, 2) and (
         u in out_adj[v]
@@ -405,14 +412,7 @@ def is_2vertex_connected(g: DiGraph) -> bool:
     Also requires in/out-degree >= 2; the articulation test is the
     dominator-based one.
     """
-    n, out_adj, in_adj = g.n, g.out_adj, g.in_adj
-    if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
-        return False
-    if not _strongly_connected(out_adj, in_adj, n):
-        return False
-    from .dominators import _strong_articulation_points
-
-    return not _strong_articulation_points(n, out_adj, in_adj)
+    return _is_2vc(g.n, g.out_adj, g.in_adj)
 
 
 def is_2v_strongly_biconnected(g: DiGraph) -> bool:
@@ -421,7 +421,7 @@ def is_2v_strongly_biconnected(g: DiGraph) -> bool:
     Requires n >= 4: below that no graph satisfies the property under the
     tiny-graph biconnectivity conventions.
     """
-    return _two_vsb_violation(g.n, g.out_adj, g.in_adj) is None
+    return not _two_vsb_violation(g.n, g.out_adj, g.in_adj)
 
 
 def b_articulation_points(g: DiGraph) -> set[int]:
@@ -435,29 +435,19 @@ def b_articulation_points(g: DiGraph) -> set[int]:
 
 
 def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[frozenset[int]]]:
-    """SCC ids plus, per vertex, the block ids of its SCC's underlying graph.
+    """SCC ids plus, per vertex, the ids of its blocks in the underlying graph
+    of the edges inside SCCs.
 
-    Two vertices lie in the same strongly biconnected component exactly when
+    Each connected component of that graph lies inside one SCC, so two
+    vertices lie in the same strongly biconnected component exactly when
     their SCC ids match and their block-id sets intersect.
     """
-    part = scc(g)
-    comp = part.comp
-    class_members: list[list[int]] = [[] for _ in range(part.count)]
-    for v, c in enumerate(comp):
-        class_members[c].append(v)
-    class_edges: list[list[tuple[int, int]]] = [[] for _ in range(part.count)]
-    for a, b in g.edges:
-        if comp[a] == comp[b]:
-            class_edges[comp[a]].append((a, b))
+    comp = scc(g).comp
+    inner = build(g.n, [(a, b) for a, b in g.edges if comp[a] == comp[b]])
     block_sets: list[set[int]] = [set() for _ in range(g.n)]
-    next_block = 0
-    for members, edges in zip(class_members, class_edges):
-        pos = {v: i for i, v in enumerate(members)}
-        sub = build(len(members), [(pos[a], pos[b]) for a, b in edges])
-        for bl in blocks(underlying(sub)).blocks:
-            for local in bl:
-                block_sets[members[local]].add(next_block)
-            next_block += 1
+    for i, bl in enumerate(blocks(underlying(inner)).blocks):
+        for v in bl:
+            block_sets[v].add(i)
     return comp, [frozenset(s) for s in block_sets]
 
 

@@ -3,8 +3,8 @@
 Randomness comes from splitmix64 with pinned constants, so a given
 (n, seed) pair yields the same graph, byte for byte, on any platform.
 Construction draws distinct non-loop edges until min(3n, n(n-1)) exist,
-then keeps adding one edge at a time until the graph satisfies the full
-definition-level feasibility predicate.
+then keeps adding one edge at a time until the graph is 2-vertex strongly
+biconnected.
 """
 
 from dataclasses import dataclass
@@ -78,8 +78,6 @@ def generate(cfg: GenConfig) -> DiGraph:
     target = min(3 * n, n * (n - 1))
     while len(edges) < target:
         rng = add_new(rng)
-    hint = 0
-    while (violation := _two_vsb_violation(n, out_adj, in_adj, hint)) is not None:
-        hint = max(violation, 0)
+    while _two_vsb_violation(n, out_adj, in_adj):
         rng = add_new(rng)
     return build(n, edges)

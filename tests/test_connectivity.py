@@ -253,7 +253,7 @@ class TestTwoVertexStronglyBiconnected:
 
     def test_equals_deletion_composition(self):
         from sbspan import GenConfig, generate
-        from sbspan.connectivity import _two_vsb_violation
+        from sbspan.connectivity import _biconnected, _two_vsb_violation, _und_adj
 
         samples = [
             random_graph(seed + 3000, max_n=10, density=5)
@@ -261,9 +261,13 @@ class TestTwoVertexStronglyBiconnected:
         ]
         # include known-feasible inputs so the True branch is exercised
         samples += [BK4, OCT8]
-        samples += [generate(GenConfig(n=n, seed=s))
-                    for n, s in [(5, 1), (6, 2), (7, 3), (9, 4)]]
-        feasible_seen = 0
+        # near misses: every single-edge deletion of a feasible instance
+        for n in range(4, 10):
+            for s in range(40):
+                g = generate(GenConfig(n=n, seed=s))
+                samples.append(g)
+                samples += [delete_edge(g, e) for e in g.edges]
+        feasible_seen = only_directed = only_undirected = 0
         for g in samples:
             if g.n < 4:
                 continue
@@ -272,12 +276,19 @@ class TestTwoVertexStronglyBiconnected:
                 for v in range(g.n)
             )
             assert is_2v_strongly_biconnected(g) == expect
+            assert _two_vsb_violation(g.n, g.out_adj, g.in_adj) == (not expect)
             feasible_seen += expect
-            # the scan-start hint never changes the verdict
-            for hint in (0, 1, g.n - 1, g.n + 3):
-                v = _two_vsb_violation(g.n, g.out_adj, g.in_adj, hint)
-                assert (v is None) == expect
+            # which half of the 2VC + underlying-3VC form fails
+            directed = is_2vertex_connected(g)
+            und = _und_adj(g.out_adj, g.in_adj)
+            undirected = all(_biconnected(und, g.n, v) for v in range(g.n))
+            assert expect == (directed and undirected)
+            only_directed += undirected and not directed
+            only_undirected += directed and not undirected
         assert feasible_seen >= 6
+        # 1,105 and 41 of the 5,514 near misses
+        assert only_directed >= 1000
+        assert only_undirected >= 30
 
     def test_implies_2vc_and_degree_floor(self):
         from sbspan import generate, GenConfig
