@@ -10,7 +10,8 @@ spanning subgraphs.
 All three share one edge-deletion pass over mutable adjacency, differing
 only in the property a deletion must keep and the edges it may not touch.
 Each candidate is judged by a local disjoint-paths test of the deleted edge,
-which is exact because the current subgraph is always feasible.  Every scan
+which is exact because the current subgraph is always feasible; algorithm
+1's repair picks each edge by the same test.  Every scan
 walks edges in canonical order, so identical inputs produce identical
 outputs.
 """
@@ -20,14 +21,14 @@ from dataclasses import dataclass, field
 
 from .connectivity import (
     _biconnected,
+    _disjoint_paths,
     _keeps_2vc,
     _keeps_2vsb,
-    _sbcc_comembership,
     _und_adj,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
 )
-from .graph import DiGraph, Edge, build, delete_vertex
+from .graph import DiGraph, Edge, build
 
 
 class RepairLoopStalled(RuntimeError):
@@ -112,18 +113,14 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
     return _deletion_pass(g, _keeps_2vc)
 
 
-def _repair(full: DiGraph, gplus: DiGraph, v: int) -> DiGraph:
-    """Add the first discarded edge that bridges two strongly biconnected
-    components of gplus with v deleted."""
-    hv, mapping = delete_vertex(gplus, v)
-    comp, block_sets = _sbcc_comembership(hv)
-    present = gplus.edge_set
-    for w, x in full.edges:
-        if (w, x) in present or w == v or x == v:
-            continue
-        mw, mx = mapping[w], mapping[x]
-        if comp[mw] != comp[mx] or block_sets[mw].isdisjoint(block_sets[mx]):
-            return build(gplus.n, (*gplus.edges, (w, x)))
+def _repair(g: DiGraph, und, v: int) -> Edge:
+    """The first edge of g bridging two strongly biconnected components of
+    gplus - v: its ends are not adjacent in ``und`` (gplus's underlying
+    adjacency) and not joined by two disjoint paths avoiding v."""
+    for w, x in g.edges:
+        if (v != w and v != x and x not in und[w]
+                and not _disjoint_paths(und, und, w, x, 2, avoid=v)):
+            return w, x
     raise RepairLoopStalled(
         f"no candidate edge separates components around vertex {v}"
     )
@@ -145,19 +142,23 @@ def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     n = gplus.n
     und = _und_adj(gplus.out_adj, gplus.in_adj)
     bap = frozenset(v for v in range(n) if not _biconnected(und, n, v))
-    added = 0
+    added: list[Edge] = []
     for v in sorted(bap):
         while not _biconnected(und, n, v):
-            gplus = _repair(g, gplus, v)
-            und = _und_adj(gplus.out_adj, gplus.in_adj)
-            added += 1
+            w, x = _repair(g, und, v)
+            und[w].append(x)
+            und[x].append(w)
+            added.append((w, x))
+    if added:
+        gplus = build(n, (*gplus.edges, *added))
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=gplus,
         algorithm="alg1",
         elapsed=elapsed,
         edges_out=gplus.m,
-        trace=AlgoTrace(l_bap_count=len(bap), bap_set=bap, edges_added=added),
+        trace=AlgoTrace(l_bap_count=len(bap), bap_set=bap,
+                        edges_added=len(added)),
     )
 
 

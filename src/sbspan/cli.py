@@ -20,7 +20,7 @@ from .connectivity import (
 )
 from .dominators import strong_articulation_points_fast
 from .generator import GenConfig, generate
-from .graph import DiGraph, GraphError, parse, serialize
+from .graph import MAX_VERTICES, DiGraph, GraphError, parse, serialize
 from .oracle import SEARCH_EDGE_LIMIT, exact_min_2vsb
 
 # Results are reported in the table order alg2, alg3, alg1.
@@ -37,14 +37,6 @@ class BenchRow:
     elapsed_ms: int
     edges_out: int
     feasible: bool
-
-
-@dataclass(frozen=True, slots=True)
-class BenchConfig:
-    sizes: tuple[int, ...]
-    seeds: tuple[int, ...]
-    algorithms: tuple[str, ...]
-    repetitions: int
 
 
 def _fail(message: str) -> int:
@@ -96,8 +88,8 @@ def _csv_line(r: BenchRow) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.n < 4:
-        return _fail("n must be >= 4")
+    if not 4 <= args.n <= MAX_VERTICES:
+        return _fail(f"n must be >= 4 and <= {MAX_VERTICES}")
     g = generate(GenConfig(n=args.n, seed=args.seed))
     Path(args.out).write_text(serialize(g))
     print(f"{g.n} {g.m}")
@@ -209,32 +201,28 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        config = BenchConfig(
-            sizes=_int_list(args.sizes, "sizes"),
-            seeds=_int_list(args.seeds, "seeds"),
-            algorithms=_selected_algorithms(args.algs),
-            repetitions=args.reps,
-        )
+        sizes = _int_list(args.sizes, "sizes")
+        seeds = _int_list(args.seeds, "seeds")
+        algorithms = _selected_algorithms(args.algs)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if config.repetitions < 1:
+    if args.reps < 1:
         print("usage error: --reps must be >= 1", file=sys.stderr)
         return 2
-    if min(config.sizes) < 4:
-        print("usage error: sizes must be >= 4", file=sys.stderr)
+    if min(sizes) < 4 or max(sizes) > MAX_VERTICES:
+        print(f"usage error: sizes must be in [4, {MAX_VERTICES}]", file=sys.stderr)
         return 2
 
     rows: list[BenchRow] = []
     all_feasible = True
-    for n in config.sizes:
-        for seed in config.seeds:
+    for n in sizes:
+        for seed in seeds:
             g = generate(GenConfig(n=n, seed=seed))
             print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
-            for alg in config.algorithms:
+            for alg in algorithms:
                 results = [
-                    ALG_FUNCS[alg](g, precheck=False)
-                    for _ in range(config.repetitions)
+                    ALG_FUNCS[alg](g, precheck=False) for _ in range(args.reps)
                 ]
                 best = min(results, key=lambda r: r.elapsed)
                 feasible = _verify_output(g, best.subgraph)
@@ -244,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     csv_path = Path(args.csv)
     csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n")
 
-    print(_markdown_table(rows, config.algorithms))
+    print(_markdown_table(rows, algorithms))
     print(f"wrote {csv_path}", file=sys.stderr)
     return 0 if all_feasible else 1
 
@@ -259,17 +247,12 @@ def _markdown_table(rows: list[BenchRow], algorithms: tuple[str, ...]) -> str:
         "|" + "|".join([" --- "] * len(header)) + "|",
     ]
     by_input: dict[tuple[int, int], dict[str, BenchRow]] = {}
-    order: list[tuple[int, int]] = []
     for row in rows:
-        key = (row.n, row.m)
-        if key not in by_input:
-            by_input[key] = {}
-            order.append(key)
-        by_input[key][row.algorithm] = row
-    for key in order:
-        cells = [f"({key[0]}, {key[1]})"]
+        by_input.setdefault((row.n, row.m), {})[row.algorithm] = row
+    for (n, m), by_alg in by_input.items():
+        cells = [f"({n}, {m})"]
         for alg in algorithms:
-            row = by_input[key].get(alg)
+            row = by_alg.get(alg)
             if row is None:
                 cells += ["-", "-"]
             else:

@@ -24,6 +24,11 @@ decides it for a whole graph.  The deletion pass in ``approx`` judges each
 candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
 internally vertex-disjoint paths between the edge's endpoints (Menger's
 theorem), which is exact when the graph was feasible before the deletion.
+
+Algorithm 1's repair asks whether two vertices share a strongly biconnected
+component of G - v, with G 2VC and so G - v strongly connected.  Those are
+the blocks of G - v's underlying graph, and two non-adjacent vertices share
+a block iff two internally disjoint paths join them (``_disjoint_paths``).
 """
 
 from dataclasses import dataclass
@@ -134,9 +139,9 @@ def _biconnected(adj, n: int, skip: int | None = None) -> bool:
     return visited == n_eff and root_children < 2
 
 
-def _und_adj(out_adj, in_adj) -> list[tuple[int, ...]]:
+def _und_adj(out_adj, in_adj) -> list[list[int]]:
     """Underlying-graph adjacency (antiparallel edges merged)."""
-    return [tuple(dict.fromkeys(a + b)) for a, b in zip(out_adj, in_adj)]
+    return [list(dict.fromkeys(a + b)) for a, b in zip(out_adj, in_adj)]
 
 
 def _sb_without(n: int, out_adj, in_adj, und, v: int | None = None) -> bool:
@@ -166,7 +171,7 @@ def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
 
 
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
-                    undirected: bool = False) -> bool:
+                    undirected: bool = False, avoid: int | None = None) -> bool:
     """True iff there are at least k internally vertex-disjoint s->t paths.
 
     Unit-capacity max flow on the implicit vertex-split graph, one BFS
@@ -174,8 +179,9 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
     is x's in-copy and 2x+1 its out-copy; an internal vertex x carries flow
     iff ``prv[x]`` (its flow predecessor) is set.  With ``undirected`` the
     underlying graph is searched: x's neighbours are ``out_adj[x]`` plus
-    ``in_adj[x]``.  Requires s != t and no edge s->t (in underlying mode, s
-    and t not adjacent), so that every path has an internal vertex.
+    ``in_adj[x]``.  Paths never pass through ``avoid``.  Requires s != t
+    and no edge s->t (in underlying mode, s and t not adjacent), so that
+    every path has an internal vertex.
     """
     adjs = (out_adj, in_adj) if undirected else (out_adj,)
     n = len(out_adj)
@@ -184,6 +190,8 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
     for _ in range(k):
         par = [-1] * (2 * n)
         par[src] = par[2 * s] = src  # s's in-copy is never entered
+        if avoid is not None:
+            par[2 * avoid] = src  # nor is the avoided vertex's
         queue = [src]
         for state in queue:
             x = state >> 1

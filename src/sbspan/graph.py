@@ -24,6 +24,10 @@ class ParseError(GraphError):
 
 Edge = tuple[int, int]
 
+# Largest vertex count read from text or the command line (100x the largest
+# timed instance; the O(n*m) verifier is impractical long before it).
+MAX_VERTICES = 100_000
+
 
 @dataclass(frozen=True, slots=True)
 class DiGraph:
@@ -43,9 +47,6 @@ class DiGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self.n}, m={self.m})"
@@ -145,8 +146,8 @@ def parse(text: str) -> DiGraph:
     """Parse the canonical text format.
 
     Lines starting with '#' are comments and may appear anywhere.  The
-    first data line is "n m"; exactly m data lines "u v" follow.  Raises
-    ParseError with the offending line number.
+    first data line is "n m" with 1 <= n <= MAX_VERTICES; exactly m data
+    lines "u v" follow.  Raises ParseError with the offending line number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -164,6 +165,8 @@ def parse(text: str) -> DiGraph:
         if header is None:
             if a < 1 or b < 0:
                 raise ParseError(line_no, f"invalid header {raw!r}")
+            if a > MAX_VERTICES:
+                raise ParseError(line_no, f"vertex count {a} exceeds {MAX_VERTICES}")
             header = (a, b)
             continue
         n, m = header

@@ -1,18 +1,22 @@
 import pytest
 
 from sbspan import (
+    AlgoTrace,
     GenConfig,
     algorithm1,
     algorithm2,
     algorithm3,
     b_articulation_points,
+    build,
     delete_edge,
+    delete_vertex,
     generate,
     greedy_degree_cover,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
     is_strongly_connected,
     minimal_2vcss,
+    same_sbcc,
     strong_articulation_points_bruteforce,
 )
 from sbspan.fixtures import BK4, C4, CHAIN4, OCT8
@@ -58,6 +62,27 @@ class TestMinimal2vcss:
             h = minimal_2vcss(g)
             assert h.n == g.n
             assert h.edge_set <= g.edge_set
+
+
+def _definition_level_alg1(g):
+    """Algorithm 1 by its definition: for each b-articulation point v of the
+    minimal 2-vertex-connected subgraph h, while v still is one, re-add the
+    first discarded edge avoiding v whose endpoints lie in different
+    strongly biconnected components of h - v, rebuilding h each time."""
+    h = minimal_2vcss(g)
+    bap = frozenset(b_articulation_points(h))
+    added = 0
+    for v in sorted(bap):
+        while v in b_articulation_points(h):
+            hv, mapping = delete_vertex(h, v)
+            w, x = next(
+                (w, x) for w, x in g.edges
+                if (w, x) not in h.edge_set and v not in (w, x)
+                and not same_sbcc(hv, mapping[w], mapping[x])
+            )
+            h = build(g.n, (*h.edges, (w, x)))
+            added += 1
+    return h, AlgoTrace(l_bap_count=len(bap), bap_set=bap, edges_added=added)
 
 
 class TestAlgorithm1:
@@ -113,11 +138,28 @@ class TestAlgorithm1:
 
     def test_repair_stall_is_surfaced(self):
         from sbspan import RepairLoopStalled
-        from sbspan.approx import _repair
 
-        # C4 has b-articulation points but no discarded edges to re-add
+        # The bidirected 5-cycle is 2-vertex connected but not 2VSB, already
+        # minimal, and every vertex is a b-articulation point: there is no
+        # discarded edge to re-add.
+        g = build(5, [e for i in range(5)
+                      for e in ((i, (i + 1) % 5), ((i + 1) % 5, i))])
+        assert minimal_2vcss(g) == g
+        assert b_articulation_points(g) == set(range(5))
         with pytest.raises(RepairLoopStalled):
-            _repair(C4, C4, 0)
+            algorithm1(g, precheck=False)
+
+    def test_matches_definition_level_repair(self):
+        repaired = 0
+        for n in range(4, 13):
+            for seed in range(40):
+                g = generate(GenConfig(n=n, seed=seed))
+                r = algorithm1(g, precheck=False)
+                ref, trace = _definition_level_alg1(g)
+                assert r.subgraph == ref, (n, seed)
+                assert r.trace == trace, (n, seed)
+                repaired += trace.edges_added > 0
+        assert repaired >= 70
 
 
 class TestAlgorithm2:

@@ -30,6 +30,13 @@ class TestGen:
         assert rc != 0
         assert "n must be >= 4" in capsys.readouterr().err
 
+    def test_outsized_n_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["gen", "--n", "1000000000", "--seed", "1", "--out", str(out)])
+        assert rc != 0
+        assert "n must be >= 4 and <= 100000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_alg2_on_oct8(self, tmp_path, capsys):
@@ -84,6 +91,14 @@ class TestRun:
 
 
 class TestCheck:
+    def test_outsized_header(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n")
+        assert main(["check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "vertex count" in captured.err
+        assert captured.out == ""
+
     def test_bbowtie_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bbowtie.txt", BBOWTIE)
         assert main(["check", "--in", path]) == 0
@@ -184,6 +199,15 @@ class TestBench:
         rc = main(["bench", "--sizes", "10", "--seeds", "1", "--reps", "0",
                    "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_outsized_size_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        rc = main(["bench", "--sizes", "4,1000000000", "--seeds", "1",
+                   "--csv", str(csv)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "bench:" not in captured.err
+        assert captured.out == "" and not csv.exists()
 
     def test_selected_subset_only(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"

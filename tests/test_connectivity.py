@@ -415,7 +415,7 @@ class TestDisjointPaths:
     def test_matches_min_vertex_separator(self):
         # Menger: k internally disjoint paths iff no separator below k.
         from collections import Counter
-        from itertools import combinations
+        from itertools import combinations, product
 
         from sbspan.connectivity import _disjoint_paths
 
@@ -432,18 +432,21 @@ class TestDisjointPaths:
                         if s == t or t in adj[s]:
                             continue
                         rest = [x for x in range(g.n) if x not in (s, t)]
-                        for k in range(1, 4):
+                        # also without one vertex of the rest, picked by seed
+                        avoids = (None, rest[seed % len(rest)]) if rest else (None,)
+                        for avoid, k in product(avoids, range(1, 4)):
+                            gone = () if avoid is None else (avoid,)
                             expect = not any(
-                                _separated(adj, g.n, s, t, cut)
+                                _separated(adj, g.n, s, t, (*gone, *cut))
                                 for size in range(k)
                                 for cut in combinations(rest, size)
                             )
                             got = _disjoint_paths(g.out_adj, g.in_adj, s, t, k,
-                                                  undirected)
-                            assert got == expect, (seed, undirected, s, t, k)
-                            verdicts[undirected, k, expect] += 1
-        assert all(verdicts[u, k, x] for u in (False, True) for k in (2, 3)
-                   for x in (False, True))
+                                                  undirected, avoid)
+                            assert got == expect, (seed, undirected, s, t, k, avoid)
+                            verdicts[undirected, k, expect, avoid is None] += 1
+        assert all(verdicts[u, k, x, a] for u in (False, True) for k in (2, 3)
+                   for x in (False, True) for a in (False, True))
 
     def test_cancels_a_blocking_path(self):
         from sbspan.connectivity import _disjoint_paths

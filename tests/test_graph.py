@@ -177,6 +177,11 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="line 3"):
             parse("3 2\n0 1\n1 1\n")
 
+    def test_outsized_vertex_count(self):
+        # rejected on the header line, before any adjacency is allocated
+        with pytest.raises(ParseError, match="line 2: vertex count"):
+            parse("# huge\n1000000000 0\n")
+
     def test_missing_header(self):
         with pytest.raises(ParseError, match="missing header"):
             parse("# only a comment\n")

@@ -27,6 +27,13 @@ def test_targets_resolve_in_sbspan():
         assert callable(original), f"sbspan.{home}.{attr} is gone ({span})"
         for ns in namespaces or ():
             mod = importlib.import_module(f"sbspan.{ns}")
+            if (attr, ns) == ("_sbcc_comembership", "approx"):
+                # alg1's repair asks a disjoint-paths test instead: the
+                # tracer patches nothing here, and
+                # connectivity.sbcc_comembership.* reads 0 calls, as
+                # connectivity.b_articulation_points.* already does.
+                assert not hasattr(mod, attr)
+                continue
             assert getattr(mod, attr, None) is original, (
                 f"sbspan.{ns} no longer calls {attr} through its own attribute"
             )
