@@ -5,7 +5,11 @@ Exit status is zero only when every requested check or run succeeded.
 """
 
 import argparse
+import json
+import os
+import platform
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,6 +219,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     rows: list[BenchRow] = []
+    records: list[dict] = []
     all_feasible = True
     for n in sizes:
         for seed in seeds:
@@ -225,12 +230,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     ALG_FUNCS[alg](g, precheck=False) for _ in range(args.reps)
                 ]
                 best = min(results, key=lambda r: r.elapsed)
+                t0 = time.perf_counter()
                 feasible = _verify_output(g, best.subgraph)
+                verify_s = time.perf_counter() - t0
                 all_feasible &= feasible
                 rows.append(_row(g, best, feasible))
+                records.append({
+                    "n": n, "seed": seed, "m": g.m, "alg": alg,
+                    "elapsed_s": round(best.elapsed, 6),
+                    "verify_s": round(verify_s, 6),
+                    "edges_out": best.edges_out, "feasible": feasible,
+                })
 
     csv_path = Path(args.csv)
     csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n")
+    if args.json:
+        Path(args.json).write_text(json.dumps({
+            "platform": platform.platform(),
+            "python_version": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "reps": args.reps,
+            "records": records,
+        }, indent=1) + "\n")
 
     print(_markdown_table(rows, algorithms))
     print(f"wrote {csv_path}", file=sys.stderr)
@@ -305,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=1,
                          help="repetitions per run; minimum elapsed is reported")
     p_bench.add_argument("--csv", default="bench.csv", help="CSV output path")
+    p_bench.add_argument("--json", help="also write one JSON record per "
+                         "(n, seed, alg) with algorithm and verification "
+                         "seconds, plus the platform, here")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

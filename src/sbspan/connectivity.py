@@ -25,6 +25,14 @@ candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
 internally vertex-disjoint paths between the edge's endpoints (Menger's
 theorem), which is exact when the graph was feasible before the deletion.
 
+Each local verdict is cheap in the common cases.  A degree floor rejects
+first, in O(deg): k internally disjoint s-t paths leave s and reach t
+through k distinct neighbours.  ``_disjoint_paths`` then packs k paths
+greedily, one bidirectional BFS each (``_greedy_paths``); finding all k
+certifies a yes.  Only when the greedy packing falls short does the
+unit-capacity max flow (``_flow_paths``), the one exact routine, decide, so
+every verdict equals the flow's.
+
 Algorithm 1's repair asks whether two vertices share a strongly biconnected
 component of G - v, with G 2VC and so G - v strongly connected.  Those are
 the blocks of G - v's underlying graph, and two non-adjacent vertices share
@@ -170,18 +178,83 @@ def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
     return not all(_biconnected(und, n, v) for v in range(n))
 
 
+def _greedy_paths(out_adj, in_adj, s: int, t: int, k: int,
+                  undirected: bool = False, avoid: int | None = None) -> bool:
+    """True only if k internally vertex-disjoint s->t paths exist; may miss.
+
+    Finds the paths one at a time, each by a bidirectional BFS (Pohl 1971)
+    that expands the smaller frontier by one level and skips ``avoid`` and
+    the internal vertices of the paths found before.  The k paths found are
+    a certificate; a failure proves nothing, since an early path may block
+    every later one that a flow would reroute.  Arguments and requirements
+    are those of ``_disjoint_paths``.
+    """
+    fwd = (out_adj, in_adj) if undirected else (out_adj,)
+    bwd = (out_adj, in_adj) if undirected else (in_adj,)
+    blocked = {avoid}
+    for _ in range(k):
+        fpar, bpar = {s: s}, {t: t}
+        ffront, bfront = [s], [t]
+        meet = None
+        while meet is None:
+            if not ffront or not bfront:
+                return False
+            if len(ffront) <= len(bfront):
+                ffront, meet = _bfs_level(ffront, fwd, fpar, bpar, blocked)
+            else:
+                bfront, meet = _bfs_level(bfront, bwd, bpar, fpar, blocked)
+        for par in (fpar, bpar):
+            x = par[meet]
+            while par[x] != x:
+                blocked.add(x)
+                x = par[x]
+        if meet != s and meet != t:
+            blocked.add(meet)
+    return True
+
+
+def _bfs_level(front, adjs, par, other, blocked):
+    """Expand one BFS level; return the next frontier and the first vertex
+    reached that the opposite search has already reached (None if none)."""
+    nxt = []
+    for x in front:
+        for adj in adjs:
+            for y in adj[x]:
+                if y in par or y in blocked:
+                    continue
+                par[y] = x
+                if y in other:
+                    return nxt, y
+                nxt.append(y)
+    return nxt, None
+
+
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
                     undirected: bool = False, avoid: int | None = None) -> bool:
     """True iff there are at least k internally vertex-disjoint s->t paths.
 
+    With ``undirected`` the underlying graph is searched: x's neighbours are
+    ``out_adj[x]`` plus ``in_adj[x]``.  Paths never pass through ``avoid``.
+    Requires s != t and no edge s->t (in underlying mode, s and t not
+    adjacent), so that every path has an internal vertex.
+
+    A greedy packing of paths found by bidirectional BFS (``_greedy_paths``)
+    answers first: k paths found certify True.  Only when it falls short
+    does the unit-capacity max flow (``_flow_paths``), the one exact
+    routine, decide.
+    """
+    return (_greedy_paths(out_adj, in_adj, s, t, k, undirected, avoid)
+            or _flow_paths(out_adj, in_adj, s, t, k, undirected, avoid))
+
+
+def _flow_paths(out_adj, in_adj, s: int, t: int, k: int,
+                undirected: bool = False, avoid: int | None = None) -> bool:
+    """Exact core of ``_disjoint_paths``, same arguments and contract.
+
     Unit-capacity max flow on the implicit vertex-split graph, one BFS
     augmentation per path, stopping at the first BFS that fails.  State 2x
     is x's in-copy and 2x+1 its out-copy; an internal vertex x carries flow
-    iff ``prv[x]`` (its flow predecessor) is set.  With ``undirected`` the
-    underlying graph is searched: x's neighbours are ``out_adj[x]`` plus
-    ``in_adj[x]``.  Paths never pass through ``avoid``.  Requires s != t
-    and no edge s->t (in underlying mode, s and t not adjacent), so that
-    every path has an internal vertex.
+    iff ``prv[x]`` (its flow predecessor) is set.
     """
     adjs = (out_adj, in_adj) if undirected else (out_adj,)
     n = len(out_adj)
@@ -237,9 +310,11 @@ def _keeps_2vc(n: int, out_adj, in_adj, u: int, v: int) -> bool:
     Called on the graph with (u, v) already deleted.  Exact only when the
     graph was 2-vertex connected before the deletion: then any separating
     vertex of the rest would split u from v, so two internally disjoint
-    u->v paths suffice.
+    u->v paths suffice.  Two such paths leave u and enter v by distinct
+    edges, so an out-degree of u or in-degree of v below 2 rejects at once.
     """
-    return _disjoint_paths(out_adj, in_adj, u, v, 2)
+    return (len(out_adj[u]) >= 2 and len(in_adj[v]) >= 2
+            and _disjoint_paths(out_adj, in_adj, u, v, 2))
 
 
 def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
@@ -250,11 +325,16 @@ def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
     of 2VSB (see the module docstring), the deletion keeps it iff two
     internally disjoint u->v paths remain and, unless the antiparallel edge
     (v, u) keeps the underlying graph unchanged, three internally disjoint
-    u-v paths remain in the underlying graph.
+    u-v paths remain in the underlying graph.  Each half first asks the
+    degrees those paths need: the directed floor of ``_keeps_2vc``, then
+    three distinct underlying neighbours of u and of v.
     """
-    return _disjoint_paths(out_adj, in_adj, u, v, 2) and (
-        u in out_adj[v]
-        or _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True)
+    if not _keeps_2vc(n, out_adj, in_adj, u, v):
+        return False
+    return u in out_adj[v] or (
+        len(set(out_adj[u]).union(in_adj[u])) >= 3
+        and len(set(out_adj[v]).union(in_adj[v])) >= 3
+        and _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True)
     )
 
 

@@ -189,6 +189,26 @@ class TestBench:
 
         assert strip_elapsed(a.read_text()) == strip_elapsed(b.read_text())
 
+    def test_json_records(self, tmp_path):
+        import json
+
+        csv, out = tmp_path / "bench.csv", tmp_path / "bench.json"
+        rc = main(["bench", "--sizes", "10,12", "--seeds", "1", "--reps", "2",
+                   "--algs", "alg1,alg3", "--csv", str(csv), "--json", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["reps"] == 2 and doc["cpu_count"] >= 1
+        assert doc["platform"] and doc["python_version"]
+        rows = csv.read_text().strip().splitlines()[1:]
+        records = doc["records"]
+        assert [(r["n"], r["seed"], r["alg"]) for r in records] == [
+            (10, 1, "alg3"), (10, 1, "alg1"), (12, 1, "alg3"), (12, 1, "alg1")]
+        for r, row in zip(records, rows):
+            n, m, alg, _, edges_out, _ = row.split(",")
+            assert (r["n"], r["m"], r["alg"], r["edges_out"]) == (
+                int(n), int(m), alg, int(edges_out))
+            assert r["elapsed_s"] >= 0 and r["verify_s"] >= 0 and r["feasible"]
+
     def test_empty_algs_usage_error(self, tmp_path, capsys):
         rc = main(["bench", "--sizes", "10", "--seeds", "1", "--algs", " ",
                    "--csv", str(tmp_path / "x.csv")])

@@ -413,11 +413,12 @@ def _deleted_lists(g, e):
 
 class TestDisjointPaths:
     def test_matches_min_vertex_separator(self):
-        # Menger: k internally disjoint paths iff no separator below k.
+        # Menger: k internally disjoint paths iff no separator below k.  The
+        # exact flow is checked on its own, then the greedy-fronted routine.
         from collections import Counter
         from itertools import combinations, product
 
-        from sbspan.connectivity import _disjoint_paths
+        from sbspan.connectivity import _disjoint_paths, _flow_paths
 
         verdicts = Counter()
         for seed in range(150):
@@ -441,24 +442,65 @@ class TestDisjointPaths:
                                 for size in range(k)
                                 for cut in combinations(rest, size)
                             )
-                            got = _disjoint_paths(g.out_adj, g.in_adj, s, t, k,
-                                                  undirected, avoid)
+                            args = (g.out_adj, g.in_adj, s, t, k, undirected, avoid)
+                            got = _flow_paths(*args)
                             assert got == expect, (seed, undirected, s, t, k, avoid)
+                            assert _disjoint_paths(*args) == expect
                             verdicts[undirected, k, expect, avoid is None] += 1
         assert all(verdicts[u, k, x, a] for u in (False, True) for k in (2, 3)
                    for x in (False, True) for a in (False, True))
 
     def test_cancels_a_blocking_path(self):
-        from sbspan.connectivity import _disjoint_paths
+        from sbspan.connectivity import _flow_paths
 
         # BFS first routes s-a-d-t; the second path must cancel a->d to
         # reach s-a-b-t plus s-c-d-t.
         s, a, b, c, d, t = range(6)
         g = build(6, [(s, a), (s, c), (a, d), (a, b), (c, d), (d, t), (b, t)])
-        assert _disjoint_paths(g.out_adj, g.in_adj, s, t, 2)
-        assert not _disjoint_paths(g.out_adj, g.in_adj, s, t, 3)
-        assert not _disjoint_paths(g.out_adj, g.in_adj, t, s, 1)
-        assert _disjoint_paths(g.out_adj, g.in_adj, t, s, 2, undirected=True)
+        assert _flow_paths(g.out_adj, g.in_adj, s, t, 2)
+        assert not _flow_paths(g.out_adj, g.in_adj, s, t, 3)
+        assert not _flow_paths(g.out_adj, g.in_adj, t, s, 1)
+        assert _flow_paths(g.out_adj, g.in_adj, t, s, 2, undirected=True)
+
+    def test_greedy_trap_falls_back_to_flow(self):
+        from sbspan.connectivity import _disjoint_paths, _flow_paths, _greedy_paths
+
+        # s-a-b-t is the one shortest path and meets both detours,
+        # s-a-p-q-t and s-c-d-b-t, which are disjoint only without it.
+        s, a, b, t, p, q, c, d = range(8)
+        g = build(8, [(s, a), (a, b), (b, t), (a, p), (p, q), (q, t),
+                      (s, c), (c, d), (d, b)])
+        args = (g.out_adj, g.in_adj, s, t, 2)
+        assert not _greedy_paths(*args)
+        assert _flow_paths(*args)
+        assert _disjoint_paths(*args)
+
+    def test_greedy_never_overclaims_on_edge_deletions(self):
+        # Every single-edge deletion of small generated instances, in both
+        # halves of the 2VSB deletion test: a greedy yes is a flow yes, and
+        # the fronted routine equals the flow.
+        from sbspan import GenConfig, generate
+        from sbspan.connectivity import _disjoint_paths, _flow_paths, _greedy_paths
+
+        checks = misses = 0
+        for n in range(4, 16):
+            for seed in range(60):
+                g = generate(GenConfig(n=n, seed=seed))
+                for u, v in g.edges:
+                    out_adj, in_adj = _deleted_lists(g, (u, v))
+                    halves = [(2, False)]
+                    if u not in out_adj[v]:
+                        halves.append((3, True))
+                    for k, undirected in halves:
+                        args = (out_adj, in_adj, u, v, k, undirected)
+                        exact = _flow_paths(*args)
+                        greedy = _greedy_paths(*args)
+                        assert exact or not greedy, (n, seed, u, v, k)
+                        assert _disjoint_paths(*args) == exact
+                        checks += 1
+                        misses += exact and not greedy
+        assert checks == 44266
+        assert misses  # the fallback decides some verdicts
 
 
 class TestLocalDeletionTest:
