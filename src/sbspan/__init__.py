@@ -12,44 +12,18 @@ from .approx import (
     algorithm1,
     algorithm2,
     algorithm3,
-    greedy_degree_cover,
     minimal_2vcss,
 )
 from .connectivity import (
-    BlockDecomposition,
-    Partition,
     b_articulation_points,
-    blocks,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
-    is_biconnected,
     is_strongly_biconnected,
     is_strongly_connected,
-    same_sbcc,
-    scc,
-    strong_articulation_points_bruteforce,
 )
-from .dominators import (
-    DomTree,
-    dominator_tree,
-    nontrivial_dominators,
-    reverse,
-    strong_articulation_points_fast,
-)
-from .generator import GenConfig, RngState, generate, rng_below, rng_next
-from .graph import (
-    DiGraph,
-    Edge,
-    GraphError,
-    ParseError,
-    UGraphView,
-    build,
-    delete_edge,
-    delete_vertex,
-    parse,
-    serialize,
-    underlying,
-)
+from .dominators import strong_articulation_points_fast
+from .generator import GenConfig, generate
+from .graph import DiGraph, Edge, GraphError, ParseError, build, parse, serialize
 from .oracle import ExactResult, exact_min_2vsb, small_instance_suite
 
 __version__ = "0.1.0"
@@ -57,46 +31,27 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgoResult",
     "AlgoTrace",
-    "BlockDecomposition",
     "DiGraph",
-    "DomTree",
     "Edge",
     "ExactResult",
     "GenConfig",
     "GraphError",
     "ParseError",
-    "Partition",
     "RepairLoopStalled",
-    "RngState",
-    "UGraphView",
     "algorithm1",
     "algorithm2",
     "algorithm3",
     "b_articulation_points",
-    "blocks",
     "build",
-    "delete_edge",
-    "delete_vertex",
-    "dominator_tree",
     "exact_min_2vsb",
     "generate",
-    "greedy_degree_cover",
     "is_2v_strongly_biconnected",
     "is_2vertex_connected",
-    "is_biconnected",
     "is_strongly_biconnected",
     "is_strongly_connected",
     "minimal_2vcss",
-    "nontrivial_dominators",
     "parse",
-    "reverse",
-    "rng_below",
-    "rng_next",
-    "same_sbcc",
-    "scc",
     "serialize",
     "small_instance_suite",
-    "strong_articulation_points_bruteforce",
     "strong_articulation_points_fast",
-    "underlying",
 ]

@@ -70,7 +70,7 @@ def _require_feasible(g: DiGraph) -> None:
 
 def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
     """Delete, in canonical order, every unprotected edge (u, v) for which
-    ``keeps(n, out_adj, in_adj, u, v)`` holds on the graph without it; build
+    ``keeps(out_adj, in_adj, u, v)`` holds on the graph without it; build
     the DiGraph once, at the end.
 
     ``keeps`` is a local test of the deleted edge (``_keeps_2vc``,
@@ -91,7 +91,7 @@ def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
             u, v = e
             out_adj[u].remove(v)
             in_adj[v].remove(u)
-            if keeps(n, out_adj, in_adj, u, v):
+            if keeps(out_adj, in_adj, u, v):
                 continue
             out_adj[u].append(v)
             in_adj[v].append(u)

@@ -10,7 +10,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .approx import AlgoResult, _deletion_pass, algorithm1, algorithm2, algorithm3
@@ -31,16 +30,6 @@ from .oracle import SEARCH_EDGE_LIMIT, exact_min_2vsb
 ALG_ORDER = ("alg2", "alg3", "alg1")
 ALG_FUNCS = {"alg1": algorithm1, "alg2": algorithm2, "alg3": algorithm3}
 CSV_HEADER = "n,m,alg,elapsed_ms,edges_out,feasible"
-
-
-@dataclass(frozen=True, slots=True)
-class BenchRow:
-    n: int
-    m: int
-    algorithm: str
-    elapsed_ms: int
-    edges_out: int
-    feasible: bool
 
 
 def _fail(message: str) -> int:
@@ -80,15 +69,21 @@ def _vertex_set_line(label: str, points: set[int] | None, reason: str = "") -> s
     return f"{label}: " + (" ".join(map(str, sorted(points))) if points else "none")
 
 
-def _row(g: DiGraph, result: AlgoResult, feasible: bool) -> BenchRow:
-    return BenchRow(n=g.n, m=g.m, algorithm=result.algorithm,
-                    elapsed_ms=round(result.elapsed * 1000),
-                    edges_out=result.edges_out, feasible=feasible)
+def _record(g: DiGraph, result: AlgoResult, feasible: bool, **extra) -> dict:
+    """One run's result; the CSV line, the table cell and the JSON record
+    are all read from it."""
+    return {"n": g.n, "m": g.m, "alg": result.algorithm,
+            "elapsed_s": round(result.elapsed, 6),
+            "edges_out": result.edges_out, "feasible": feasible, **extra}
 
 
-def _csv_line(r: BenchRow) -> str:
-    return (f"{r.n},{r.m},{r.algorithm},{r.elapsed_ms},{r.edges_out},"
-            f"{str(r.feasible).lower()}")
+def _ms(r: dict) -> int:
+    return round(r["elapsed_s"] * 1000)
+
+
+def _csv_line(r: dict) -> str:
+    return (f"{r['n']},{r['m']},{r['alg']},{_ms(r)},{r['edges_out']},"
+            f"{str(r['feasible']).lower()}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -128,11 +123,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.out:
             path = _out_path(args.out, alg, len(algs) > 1)
             path.write_text(serialize(result.subgraph))
-        row = _row(g, result, feasible)
+        rec = _record(g, result, feasible)
         if args.csv:
-            print(_csv_line(row))
+            print(_csv_line(rec))
         else:
-            print(f"{alg}: elapsed_ms={row.elapsed_ms} edges_out={row.edges_out} "
+            print(f"{alg}: elapsed_ms={_ms(rec)} edges_out={rec['edges_out']} "
                   f"feasible={str(feasible).lower()}")
     return 0 if all_feasible else 1
 
@@ -146,6 +141,9 @@ def _verify_output(g: DiGraph, sub: DiGraph) -> bool:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.minimal and not args.subgraph:
+        print("usage error: --minimal requires --subgraph", file=sys.stderr)
+        return 2
     try:
         g = _load_graph(args.in_path)
     except (OSError, GraphError) as exc:
@@ -218,7 +216,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"usage error: sizes must be in [4, {MAX_VERTICES}]", file=sys.stderr)
         return 2
 
-    rows: list[BenchRow] = []
     records: list[dict] = []
     all_feasible = True
     for n in sizes:
@@ -234,16 +231,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 feasible = _verify_output(g, best.subgraph)
                 verify_s = time.perf_counter() - t0
                 all_feasible &= feasible
-                rows.append(_row(g, best, feasible))
-                records.append({
-                    "n": n, "seed": seed, "m": g.m, "alg": alg,
-                    "elapsed_s": round(best.elapsed, 6),
-                    "verify_s": round(verify_s, 6),
-                    "edges_out": best.edges_out, "feasible": feasible,
-                })
+                records.append(_record(g, best, feasible, seed=seed,
+                                       verify_s=round(verify_s, 6)))
 
     csv_path = Path(args.csv)
-    csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n")
+    csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
     if args.json:
         Path(args.json).write_text(json.dumps({
             "platform": platform.platform(),
@@ -253,12 +245,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "records": records,
         }, indent=1) + "\n")
 
-    print(_markdown_table(rows, algorithms))
+    print(_markdown_table(records, algorithms))
     print(f"wrote {csv_path}", file=sys.stderr)
     return 0 if all_feasible else 1
 
 
-def _markdown_table(rows: list[BenchRow], algorithms: tuple[str, ...]) -> str:
+def _markdown_table(records: list[dict], algorithms: tuple[str, ...]) -> str:
+    """One row per generated instance, in generation order: each instance's
+    records are consecutive, one per algorithm in table order."""
     titles = {"alg1": "Algorithm1", "alg2": "Algorithm2", "alg3": "Algorithm3"}
     header = ["Input (V, E)"]
     for alg in algorithms:
@@ -267,18 +261,12 @@ def _markdown_table(rows: list[BenchRow], algorithms: tuple[str, ...]) -> str:
         "| " + " | ".join(header) + " |",
         "|" + "|".join([" --- "] * len(header)) + "|",
     ]
-    by_input: dict[tuple[int, int], dict[str, BenchRow]] = {}
-    for row in rows:
-        by_input.setdefault((row.n, row.m), {})[row.algorithm] = row
-    for (n, m), by_alg in by_input.items():
-        cells = [f"({n}, {m})"]
-        for alg in algorithms:
-            row = by_alg.get(alg)
-            if row is None:
-                cells += ["-", "-"]
-            else:
-                mark = "" if row.feasible else " (infeasible)"
-                cells += [f"{row.elapsed_ms} ms", f"{row.edges_out}{mark}"]
+    k = len(algorithms)
+    for i in range(0, len(records), k):
+        cells = [f"({records[i]['n']}, {records[i]['m']})"]
+        for r in records[i:i + k]:
+            mark = "" if r["feasible"] else " (infeasible)"
+            cells += [f"{_ms(r)} ms", f"{r['edges_out']}{mark}"]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
@@ -313,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--in", dest="in_path", required=True, help="graph file")
     p_check.add_argument("--subgraph", help="verify this subgraph against the graph")
     p_check.add_argument("--minimal", action="store_true",
-                         help="also verify single-edge minimality of the subgraph")
+                         help="also verify single-edge minimality of the "
+                         "subgraph (requires --subgraph)")
     p_check.add_argument("--exact", action="store_true",
                          help=f"report the exact optimum (m <= {SEARCH_EDGE_LIMIT})")
     p_check.set_defaults(func=cmd_check)

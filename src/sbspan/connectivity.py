@@ -39,25 +39,7 @@ the blocks of G - v's underlying graph, and two non-adjacent vertices share
 a block iff two internally disjoint paths join them (``_disjoint_paths``).
 """
 
-from dataclasses import dataclass
-
-from .graph import DiGraph, UGraphView, build, underlying
-
-
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """Vertex -> SCC class assignment; ids dense in [0, count)."""
-
-    comp: tuple[int, ...]
-    count: int
-
-
-@dataclass(frozen=True, slots=True)
-class BlockDecomposition:
-    """Biconnected components of an undirected graph plus its cut vertices."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
+from .graph import DiGraph
 
 
 # ---- traversal cores --------------------------------------------------------
@@ -304,7 +286,7 @@ def _flow_paths(out_adj, in_adj, s: int, t: int, k: int,
     return True
 
 
-def _keeps_2vc(n: int, out_adj, in_adj, u: int, v: int) -> bool:
+def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     """Whether a 2-vertex-connected graph stays so without edge (u, v).
 
     Called on the graph with (u, v) already deleted.  Exact only when the
@@ -317,7 +299,7 @@ def _keeps_2vc(n: int, out_adj, in_adj, u: int, v: int) -> bool:
             and _disjoint_paths(out_adj, in_adj, u, v, 2))
 
 
-def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
+def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     """Whether a 2-vertex strongly biconnected graph stays so without (u, v).
 
     Called on the graph with (u, v) already deleted; exact only when the
@@ -329,7 +311,7 @@ def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
     degrees those paths need: the directed floor of ``_keeps_2vc``, then
     three distinct underlying neighbours of u and of v.
     """
-    if not _keeps_2vc(n, out_adj, in_adj, u, v):
+    if not _keeps_2vc(out_adj, in_adj, u, v):
         return False
     return u in out_adj[v] or (
         len(set(out_adj[u]).union(in_adj[u])) >= 3
@@ -341,10 +323,10 @@ def _keeps_2vsb(n: int, out_adj, in_adj, u: int, v: int) -> bool:
 # ---- public predicates ------------------------------------------------------
 
 
-def scc(g: DiGraph) -> Partition:
-    """Strongly connected components (single-pass lowlink DFS, no recursion).
+def scc(g: DiGraph) -> tuple[int, ...]:
+    """SCC id per vertex (single-pass lowlink DFS, no recursion).
 
-    Component ids are assigned in completion order.
+    Ids are dense and assigned in completion order.
     """
     n = g.n
     adj = g.out_adj
@@ -393,7 +375,7 @@ def scc(g: DiGraph) -> Partition:
                         if w == v:
                             break
                     count += 1
-    return Partition(comp=tuple(comp), count=count)
+    return tuple(comp)
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
@@ -401,31 +383,28 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return _strongly_connected(g.out_adj, g.in_adj, g.n)
 
 
-def blocks(u: UGraphView) -> BlockDecomposition:
-    """Biconnected components via lowpoint DFS with an edge stack.
+def blocks(n: int, adj) -> tuple[frozenset[int], ...]:
+    """Vertex sets of the biconnected components of an undirected graph
+    given as adjacency lists, via lowpoint DFS with an edge stack.
 
-    Isolated vertices form singleton blocks.
+    Isolated vertices form singleton blocks; the cut vertices are the
+    vertices that lie in two or more blocks.
     """
-    n, adj = u.n, u.adj
     disc = [0] * n
     low = [0] * n
     parent = [-1] * n
     ptr = [0] * n
     timer = 0
     out: list[frozenset[int]] = []
-    cuts: set[int] = set()
     edge_stack: list[tuple[int, int]] = []
     for root in range(n):
         if disc[root]:
             continue
-        if not adj[root]:
-            timer += 1
-            disc[root] = timer
-            out.append(frozenset((root,)))
-            continue
         timer += 1
         disc[root] = low[root] = timer
-        root_children = 0
+        if not adj[root]:
+            out.append(frozenset((root,)))
+            continue
         stack = [root]
         while stack:
             v = stack[-1]
@@ -451,8 +430,6 @@ def blocks(u: UGraphView) -> BlockDecomposition:
                     continue
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p == root:
-                    root_children += 1
                 if low[v] >= disc[p]:
                     verts: set[int] = set()
                     while True:
@@ -462,16 +439,7 @@ def blocks(u: UGraphView) -> BlockDecomposition:
                         if (a, b) == (p, v):
                             break
                     out.append(frozenset(verts))
-                    if p != root:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return BlockDecomposition(blocks=tuple(out), cut_vertices=frozenset(cuts))
-
-
-def is_biconnected(u: UGraphView) -> bool:
-    """Connected with no cut vertex; n=1 counts, n=2 needs its pair present."""
-    return _biconnected(u.adj, u.n)
+    return tuple(out)
 
 
 def is_strongly_biconnected(g: DiGraph) -> bool:
@@ -530,10 +498,11 @@ def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[frozenset[int]
     vertices lie in the same strongly biconnected component exactly when
     their SCC ids match and their block-id sets intersect.
     """
-    comp = scc(g).comp
-    inner = build(g.n, [(a, b) for a, b in g.edges if comp[a] == comp[b]])
+    comp = scc(g)
+    inner = [[w for w in a if comp[w] == comp[v]]
+             for v, a in enumerate(_und_adj(g.out_adj, g.in_adj))]
     block_sets: list[set[int]] = [set() for _ in range(g.n)]
-    for i, bl in enumerate(blocks(underlying(inner)).blocks):
+    for i, bl in enumerate(blocks(g.n, inner)):
         for v in bl:
             block_sets[v].add(i)
     return comp, [frozenset(s) for s in block_sets]

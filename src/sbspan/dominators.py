@@ -7,22 +7,8 @@ are the nontrivial dominators from any root in the graph and its reverse,
 plus the root itself when its deletion disconnects the rest.
 """
 
-from dataclasses import dataclass
-
 from .connectivity import _strongly_connected
 from .graph import DiGraph, build
-
-
-@dataclass(frozen=True, slots=True)
-class DomTree:
-    """Immediate-dominator map rooted at ``root``.
-
-    ``idom[v]`` is None for the root and for vertices unreachable from it.
-    """
-
-    root: int
-    idom: tuple[int | None, ...]
-    reachable: tuple[bool, ...]
 
 
 def reverse(g: DiGraph) -> DiGraph:
@@ -30,11 +16,12 @@ def reverse(g: DiGraph) -> DiGraph:
     return build(g.n, [(v, u) for u, v in g.edges])
 
 
-def dominator_tree(succ, pred, root: int) -> DomTree:
-    """Immediate dominators of every vertex reachable from root.
+def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
+    """Immediate dominator of every vertex reachable from root.
 
     ``succ``/``pred`` are the out- and in-adjacency lists; swapping them
-    gives the dominator tree of the reverse graph.
+    gives the dominator tree of the reverse graph.  The entry is None for
+    the root and for vertices unreachable from it.
     """
     n = len(succ)
     if not 0 <= root < n:
@@ -90,33 +77,21 @@ def dominator_tree(succ, pred, root: int) -> DomTree:
                 idom[v] = new
                 changed = True
 
-    out = tuple(
+    return tuple(
         None if v == root or not seen[v] else idom[v] for v in range(n)
     )
-    return DomTree(root=root, idom=out, reachable=tuple(map(bool, seen)))
 
 
-def _nontrivial(tree: DomTree) -> set[int]:
-    return {d for d in tree.idom if d is not None and d != tree.root}
-
-
-def nontrivial_dominators(g: DiGraph, root: int) -> set[int]:
-    """Non-root vertices that immediately dominate some other vertex.
-
-    Requires every vertex to be reachable from root.
-    """
-    tree = dominator_tree(g.out_adj, g.in_adj, root)
-    if not all(tree.reachable):
-        unreachable = [v for v in range(g.n) if not tree.reachable[v]]
-        raise ValueError(f"vertices unreachable from root {root}: {unreachable}")
-    return _nontrivial(tree)
+def _nontrivial(idom, root: int) -> set[int]:
+    """Non-root vertices that immediately dominate some other vertex."""
+    return {d for d in idom if d is not None and d != root}
 
 
 def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int]:
     """Dominator-based core of ``strong_articulation_points_fast`` over
     adjacency lists; the graph must be strongly connected with n >= 3."""
-    points = _nontrivial(dominator_tree(out_adj, in_adj, 0))
-    points |= _nontrivial(dominator_tree(in_adj, out_adj, 0))
+    points = _nontrivial(dominator_tree(out_adj, in_adj, 0), 0)
+    points |= _nontrivial(dominator_tree(in_adj, out_adj, 0), 0)
     if not _strongly_connected(out_adj, in_adj, n, 0):
         points.add(0)
     return points

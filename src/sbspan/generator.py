@@ -19,28 +19,22 @@ _MIX2 = 0x94D049BB133111EB
 
 
 @dataclass(frozen=True, slots=True)
-class RngState:
-    """splitmix64 state; the output sequence is a pure function of it."""
-
-    state: int
-
-
-@dataclass(frozen=True, slots=True)
 class GenConfig:
     n: int
     seed: int
 
 
-def rng_next(s: RngState) -> tuple[RngState, int]:
-    """One splitmix64 step: new state plus a 64-bit output."""
-    state = (s.state + _GAMMA) & _MASK
+def rng_next(state: int) -> tuple[int, int]:
+    """One splitmix64 step on a 64-bit int state: new state plus a 64-bit
+    output; the output sequence is a pure function of the state."""
+    state = (state + _GAMMA) & _MASK
     z = state
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return RngState(state), z ^ (z >> 31)
+    return state, z ^ (z >> 31)
 
 
-def rng_below(s: RngState, k: int) -> tuple[RngState, int]:
+def rng_below(s: int, k: int) -> tuple[int, int]:
     """Next value reduced modulo k (the slight modulo bias is accepted)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -57,7 +51,7 @@ def generate(cfg: GenConfig) -> DiGraph:
     n = cfg.n
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    rng = RngState(cfg.seed & _MASK)
+    rng = cfg.seed & _MASK
     seen: set[Edge] = set()
     edges: list[Edge] = []
     out_adj: list[list[int]] = [[] for _ in range(n)]
@@ -66,7 +60,7 @@ def generate(cfg: GenConfig) -> DiGraph:
     # whole-graph check waits until this count reaches 0.
     short = 2 * n
 
-    def add_new(rng: RngState) -> RngState:
+    def add_new(rng: int) -> int:
         nonlocal short
         while True:
             rng, u = rng_below(rng, n)

@@ -1,4 +1,4 @@
-"""Immutable simple directed graphs and their derived views.
+"""Immutable simple directed graphs and their text format.
 
 A graph is a value: vertex count ``n`` plus an ordered edge sequence whose
 construction order is the canonical order used by every deterministic scan
@@ -50,19 +50,6 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True, slots=True)
-class UGraphView:
-    """Underlying undirected graph: one unordered pair per adjacent vertex
-    pair, antiparallel edges collapsed."""
-
-    n: int
-    pairs: frozenset[Edge]
-    adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-    def __repr__(self) -> str:
-        return f"UGraphView(n={self.n}, pairs={len(self.pairs)})"
 
 
 def build(n: int, edge_list) -> DiGraph:
@@ -123,23 +110,6 @@ def delete_vertex(g: DiGraph, v: int) -> tuple[DiGraph, dict[int, int]]:
         (mapping[u], mapping[w]) for (u, w) in g.edges if u != v and w != v
     ]
     return build(g.n - 1, kept), mapping
-
-
-def underlying(g: DiGraph) -> UGraphView:
-    """Forget edge directions; antiparallel pairs collapse to one."""
-    pairs: set[Edge] = set()
-    adj: list[dict[int, None]] = [{} for _ in range(g.n)]
-    for u, v in g.edges:
-        p = (u, v) if u < v else (v, u)
-        if p not in pairs:
-            pairs.add(p)
-            adj[u][v] = None
-            adj[v][u] = None
-    return UGraphView(
-        n=g.n,
-        pairs=frozenset(pairs),
-        adj=tuple(tuple(d) for d in adj),
-    )
 
 
 def parse(text: str) -> DiGraph:

@@ -1,6 +1,6 @@
-"""Small named graphs used throughout the test suite and CLI examples."""
+"""Small named graphs used throughout the test suite."""
 
-from .graph import build
+from sbspan import build
 
 # Directed 4-cycle.
 C4 = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -18,18 +18,18 @@ from sbspan import (
     algorithm3,
     b_articulation_points,
     build,
-    delete_edge,
     generate,
     is_2v_strongly_biconnected,
     is_strongly_connected,
     minimal_2vcss,
     serialize,
     small_instance_suite,
-    strong_articulation_points_bruteforce,
     strong_articulation_points_fast,
 )
-from sbspan.fixtures import BBOWTIE, BK4, DIAMOND
-from sbspan.generator import RngState, rng_below
+from sbspan.connectivity import strong_articulation_points_bruteforce
+from sbspan.generator import rng_below
+from sbspan.graph import delete_edge
+from fixtures import BBOWTIE, BK4, DIAMOND
 
 SIZES = (10, 50, 100)
 SEEDS = (1, 2, 3, 4, 5)
@@ -135,8 +135,7 @@ def test_criterion_4_approximation_ratio():
 
 
 def _random_sc_graph(seed, max_n=50):
-    rng = RngState(seed)
-    rng, nv = rng_below(rng, max_n - 2)
+    rng, nv = rng_below(seed, max_n - 2)
     n = 3 + nv
     edges, seen = [], set()
     target = 2 * n

@@ -8,18 +8,16 @@ from sbspan import (
     algorithm3,
     b_articulation_points,
     build,
-    delete_edge,
-    delete_vertex,
     generate,
-    greedy_degree_cover,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
     is_strongly_connected,
     minimal_2vcss,
-    same_sbcc,
-    strong_articulation_points_bruteforce,
 )
-from sbspan.fixtures import BK4, C4, CHAIN4, OCT8
+from sbspan.approx import greedy_degree_cover
+from sbspan.connectivity import same_sbcc, strong_articulation_points_bruteforce
+from sbspan.graph import delete_edge, delete_vertex
+from fixtures import BK4, C4, CHAIN4, OCT8
 
 
 def small_instances(count=8, start_seed=0):

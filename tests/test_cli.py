@@ -2,7 +2,7 @@ import pytest
 
 from sbspan import parse, serialize
 from sbspan.cli import main
-from sbspan.fixtures import BBOWTIE, BK4, C4, OCT8
+from fixtures import BBOWTIE, BK4, C4, OCT8
 
 
 def write_graph(tmp_path, name, g):
@@ -109,7 +109,7 @@ class TestCheck:
         assert "b_articulation_points: 0 1 2 3 4" in out
 
     def test_sap_na_when_not_strongly_connected(self, tmp_path, capsys):
-        from sbspan.fixtures import CHAIN4
+        from fixtures import CHAIN4
 
         path = write_graph(tmp_path, "chain.txt", CHAIN4)
         assert main(["check", "--in", path]) == 0
@@ -138,6 +138,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "subgraph_feasible: false" in out
         assert "subgraph_minimal: pass" in out
+
+    def test_minimal_without_subgraph_usage_error(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "bk4.txt", BK4)
+        assert main(["check", "--in", path, "--minimal"]) == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--subgraph" in captured.err
+        assert captured.out == ""
 
     def test_subgraph_not_subset(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "oct8.txt", OCT8)
@@ -175,6 +182,20 @@ class TestBench:
             n, m, alg, ms, edges_out, feasible = ln.split(",")
             assert n == "10" and feasible == "true"
             assert 20 <= int(edges_out) < 30
+
+    def test_one_table_row_per_instance(self, tmp_path, capsys):
+        # n=4 gives m=12 for every seed: rows must not merge on (n, m)
+        csv = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "4", "--seeds", "1,2",
+                     "--algs", "alg2,alg1", "--csv", str(csv)]) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("| (")]
+        csv_rows = [ln.split(",") for ln in csv.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and len(csv_rows) == 4
+        # each row is read from the same records as the CSV lines
+        for row, a, b in zip(rows, csv_rows[::2], csv_rows[1::2]):
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            assert cells == ["(4, 12)", f"{a[3]} ms", a[4], f"{b[3]} ms", b[4]]
 
     def test_csv_deterministic_except_elapsed(self, tmp_path):
         a = tmp_path / "a.csv"

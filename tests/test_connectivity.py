@@ -2,27 +2,27 @@ import pytest
 
 from sbspan import (
     b_articulation_points,
-    blocks,
     build,
-    delete_edge,
-    delete_vertex,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
-    is_biconnected,
     is_strongly_biconnected,
     is_strongly_connected,
+)
+from sbspan.connectivity import (
+    _biconnected,
+    _und_adj,
+    blocks,
     same_sbcc,
     scc,
     strong_articulation_points_bruteforce,
-    underlying,
 )
-from sbspan.fixtures import BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8
-from sbspan.generator import RngState, rng_below
+from sbspan.generator import rng_below
+from sbspan.graph import delete_edge, delete_vertex
+from fixtures import BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8
 
 
 def random_graph(seed, max_n=12, density=3):
-    rng = RngState(seed)
-    rng, nv = rng_below(rng, max_n - 1)
+    rng, nv = rng_below(seed, max_n - 1)
     n = 2 + nv
     rng, mv = rng_below(rng, density * n)
     edges, seen = [], set()
@@ -45,37 +45,68 @@ def add_random_edge(g, seed):
     ]
     if not missing:
         return None
-    _, i = rng_below(RngState(seed), len(missing))
+    _, i = rng_below(seed, len(missing))
     return build(g.n, (*g.edges, missing[i]))
+
+
+def und(g):
+    """Underlying-graph adjacency of g."""
+    return _und_adj(g.out_adj, g.in_adj)
+
+
+def cut_vertices(bls):
+    """Vertices that lie in two or more blocks."""
+    seen, cuts = set(), set()
+    for bl in bls:
+        cuts |= seen & bl
+        seen |= bl
+    return cuts
+
+
+def components(n, adj, skip=None):
+    """Number of connected components, treating skip as absent."""
+    seen = {skip}
+    count = 0
+    for s in range(n):
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
 
 
 class TestScc:
     def test_fixture_counts(self):
-        assert scc(C4).count == 1
-        assert scc(CHAIN4).count == 4
-        assert scc(DIAMOND).count == 1
+        assert len(set(scc(C4))) == 1
+        assert len(set(scc(CHAIN4))) == 4
+        assert len(set(scc(DIAMOND))) == 1
 
     def test_partition_semantics(self):
-        part = scc(BOWTIE)
-        assert part.count == 1
-        part = scc(CHAIN4)
-        assert len(set(part.comp)) == 4
+        assert set(scc(BOWTIE)) == {0}
+        assert sorted(scc(CHAIN4)) == [0, 1, 2, 3]
 
     def test_ids_dense(self):
         for seed in range(30):
-            part = scc(random_graph(seed))
-            assert set(part.comp) == set(range(part.count))
+            comp = scc(random_graph(seed))
+            assert set(comp) == set(range(max(comp) + 1))
 
     def test_matches_strong_connectivity(self):
         for seed in range(60):
             g = random_graph(seed + 500)
-            assert is_strongly_connected(g) == (scc(g).count == 1)
+            assert is_strongly_connected(g) == (len(set(scc(g))) == 1)
 
     def test_mutual_reachability(self):
         # comp[u] == comp[v] iff u reaches v and v reaches u
         for seed in range(20):
             g = random_graph(seed + 900, max_n=8)
-            part = scc(g)
+            comp = scc(g)
             reach = [set() for _ in range(g.n)]
             for s in range(g.n):
                 stack, seen = [s], {s}
@@ -89,7 +120,7 @@ class TestScc:
             for u in range(g.n):
                 for v in range(g.n):
                     mutual = v in reach[u] and u in reach[v]
-                    assert (part.comp[u] == part.comp[v]) == mutual
+                    assert (comp[u] == comp[v]) == mutual
 
 
 class TestStronglyConnected:
@@ -104,54 +135,53 @@ class TestStronglyConnected:
 
 class TestBlocks:
     def test_bbowtie(self):
-        dec = blocks(underlying(BBOWTIE))
-        assert set(dec.blocks) == {frozenset({0, 1, 2}), frozenset({0, 3, 4})}
-        assert dec.cut_vertices == {0}
+        bls = blocks(BBOWTIE.n, und(BBOWTIE))
+        assert set(bls) == {frozenset({0, 1, 2}), frozenset({0, 3, 4})}
+        assert cut_vertices(bls) == {0}
 
     def test_bk4(self):
-        dec = blocks(underlying(BK4))
-        assert dec.blocks == (frozenset({0, 1, 2, 3}),)
-        assert dec.cut_vertices == frozenset()
+        bls = blocks(BK4.n, und(BK4))
+        assert bls == (frozenset({0, 1, 2, 3}),)
+        assert cut_vertices(bls) == set()
 
     def test_chain4(self):
-        dec = blocks(underlying(CHAIN4))
-        assert set(dec.blocks) == {
+        bls = blocks(CHAIN4.n, und(CHAIN4))
+        assert set(bls) == {
             frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})
         }
-        assert dec.cut_vertices == {1, 2}
+        assert cut_vertices(bls) == {1, 2}
 
     def test_isolated_vertices_are_singleton_blocks(self):
-        dec = blocks(underlying(build(3, [(0, 1)])))
-        assert set(dec.blocks) == {frozenset({0, 1}), frozenset({2})}
+        g = build(3, [(0, 1)])
+        assert set(blocks(g.n, und(g))) == {frozenset({0, 1}), frozenset({2})}
 
     def test_structure_properties(self):
         for seed in range(40):
             g = random_graph(seed + 700)
-            u = underlying(g)
-            dec = blocks(u)
+            adj = und(g)
+            bls = blocks(g.n, adj)
             # every pair lies in exactly one block
-            for a, b in u.pairs:
-                holding = [bl for bl in dec.blocks if a in bl and b in bl]
-                assert len(holding) == 1
-            # cut vertices are exactly the multi-block vertices
-            membership = {v: 0 for v in range(g.n)}
-            for bl in dec.blocks:
-                for v in bl:
-                    membership[v] += 1
-            assert dec.cut_vertices == {
-                v for v, k in membership.items() if k >= 2
+            for a in range(g.n):
+                for b in adj[a]:
+                    holding = [bl for bl in bls if a in bl and b in bl]
+                    assert len(holding) == 1
+            # the multi-block vertices are exactly the vertices whose
+            # deletion splits a connected component
+            whole = components(g.n, adj)
+            assert cut_vertices(bls) == {
+                v for v in range(g.n) if components(g.n, adj, v) > whole
             }
 
 
 class TestBiconnected:
     def test_fixtures(self):
-        assert is_biconnected(underlying(C4))
-        assert not is_biconnected(underlying(BBOWTIE))
+        assert _biconnected(und(C4), C4.n)
+        assert not _biconnected(und(BBOWTIE), BBOWTIE.n)
 
     def test_tiny_conventions(self):
-        assert is_biconnected(underlying(build(2, [(0, 1)])))
-        assert not is_biconnected(underlying(build(2, [])))
-        assert is_biconnected(underlying(build(1, [])))
+        for g, expect in ((build(2, [(0, 1)]), True), (build(2, []), False),
+                          (build(1, []), True)):
+            assert _biconnected(und(g), g.n) == expect
 
     def test_matches_block_reading(self):
         # n >= 3: biconnected iff connected with no cut vertex
@@ -159,29 +189,11 @@ class TestBiconnected:
             g = random_graph(seed + 40)
             if g.n < 3:
                 continue
-            u = underlying(g)
-            dec = blocks(u)
-            covered = set().union(*dec.blocks) if dec.blocks else set()
-            connected = len(dec.blocks) >= 1 and all(
-                any(v in bl for bl in dec.blocks) for v in range(g.n)
-            ) and _connected(u)
-            expect = connected and not dec.cut_vertices
-            assert is_biconnected(u) == expect
-            assert covered == set(range(g.n))
-
-
-def _connected(u):
-    if u.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in u.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == u.n
+            adj = und(g)
+            bls = blocks(g.n, adj)
+            expect = components(g.n, adj) == 1 and not cut_vertices(bls)
+            assert _biconnected(adj, g.n) == expect
+            assert set().union(*bls) == set(range(g.n))
 
 
 class TestStronglyBiconnected:
@@ -193,7 +205,7 @@ class TestStronglyBiconnected:
     def test_equals_composition(self):
         for seed in range(60):
             g = random_graph(seed + 60)
-            expect = is_strongly_connected(g) and is_biconnected(underlying(g))
+            expect = is_strongly_connected(g) and _biconnected(und(g), g.n)
             assert is_strongly_biconnected(g) == expect
 
 
@@ -253,7 +265,7 @@ class TestTwoVertexStronglyBiconnected:
 
     def test_equals_deletion_composition(self):
         from sbspan import GenConfig, generate
-        from sbspan.connectivity import _biconnected, _two_vsb_violation, _und_adj
+        from sbspan.connectivity import _two_vsb_violation
 
         samples = [
             random_graph(seed + 3000, max_n=10, density=5)
@@ -280,8 +292,8 @@ class TestTwoVertexStronglyBiconnected:
             feasible_seen += expect
             # which half of the 2VC + underlying-3VC form fails
             directed = is_2vertex_connected(g)
-            und = _und_adj(g.out_adj, g.in_adj)
-            undirected = all(_biconnected(und, g.n, v) for v in range(g.n))
+            adj = und(g)
+            undirected = all(_biconnected(adj, g.n, v) for v in range(g.n))
             assert expect == (directed and undirected)
             only_directed += undirected and not directed
             only_undirected += directed and not undirected
@@ -366,22 +378,22 @@ class TestSameSbcc:
         # same SCC plus a shared block of the SCC-induced underlying graph
         for seed in range(30):
             g = random_graph(seed + 8000, max_n=8)
-            part = scc(g)
+            comp = scc(g)
             for w in range(g.n):
                 for x in range(w + 1, g.n):
-                    if part.comp[w] != part.comp[x]:
+                    if comp[w] != comp[x]:
                         assert not same_sbcc(g, w, x)
                         continue
                     members = [v for v in range(g.n)
-                               if part.comp[v] == part.comp[w]]
+                               if comp[v] == comp[w]]
                     pos = {v: i for i, v in enumerate(members)}
                     sub = build(len(members), [
                         (pos[a], pos[b]) for a, b in g.edges
                         if a in pos and b in pos
                     ])
-                    dec = blocks(underlying(sub))
                     expect = any(
-                        pos[w] in bl and pos[x] in bl for bl in dec.blocks
+                        pos[w] in bl and pos[x] in bl
+                        for bl in blocks(sub.n, und(sub))
                     )
                     assert same_sbcc(g, w, x) == expect
 
@@ -514,9 +526,9 @@ class TestLocalDeletionTest:
             h = delete_edge(g, e)
             out_adj, in_adj = _deleted_lists(g, e)
             expect = is_2v_strongly_biconnected(h)
-            assert _keeps_2vsb(g.n, out_adj, in_adj, *e) == expect, e
+            assert _keeps_2vsb(out_adj, in_adj, *e) == expect, e
             expect_2vc = is_2vertex_connected(h)
-            assert _keeps_2vc(g.n, out_adj, in_adj, *e) == expect_2vc, e
+            assert _keeps_2vc(out_adj, in_adj, *e) == expect_2vc, e
             counts[expect, expect_2vc] += 1
 
     def test_every_single_edge_deletion_small(self):

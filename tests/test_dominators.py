@@ -1,23 +1,16 @@
 import pytest
 
-from sbspan import (
-    build,
-    delete_vertex,
-    dominator_tree,
-    is_strongly_connected,
-    nontrivial_dominators,
-    reverse,
-    strong_articulation_points_bruteforce,
-    strong_articulation_points_fast,
-)
-from sbspan.fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND
-from sbspan.generator import RngState, rng_below
+from sbspan import build, is_strongly_connected, strong_articulation_points_fast
+from sbspan.connectivity import strong_articulation_points_bruteforce
+from sbspan.dominators import _nontrivial, dominator_tree, reverse
+from sbspan.generator import rng_below
+from sbspan.graph import delete_vertex
+from fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND
 
 
 def random_sc_graph(seed, max_n=30):
     """Seeded random strongly connected graph, n >= 3."""
-    rng = RngState(seed)
-    rng, nv = rng_below(rng, max_n - 2)
+    rng, nv = rng_below(seed, max_n - 2)
     n = 3 + nv
     edges, seen = [], set()
     target = 2 * n
@@ -36,22 +29,19 @@ def random_sc_graph(seed, max_n=30):
 
 class TestDominatorTree:
     def test_chain(self):
-        t = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 0)
-        assert t.idom == (None, 0, 1, 2)
-        assert all(t.reachable)
+        assert dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 0) == (None, 0, 1, 2)
 
     def test_diamond(self):
-        t = dominator_tree(DIAMOND.out_adj, DIAMOND.in_adj, 0)
-        assert t.idom == (None, 0, 0, 0)
+        assert dominator_tree(DIAMOND.out_adj, DIAMOND.in_adj, 0) == (None, 0, 0, 0)
 
     def test_cycle(self):
-        t = dominator_tree(C4.out_adj, C4.in_adj, 0)
-        assert t.idom == (None, 0, 1, 2)
+        assert dominator_tree(C4.out_adj, C4.in_adj, 0) == (None, 0, 1, 2)
 
     def test_unreachable_flagged(self):
-        t = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 2)
-        assert t.reachable == (False, False, True, True)
-        assert t.idom == (None, None, None, 2)
+        idom = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 2)
+        assert idom == (None, None, None, 2)
+        reachable = [idom[v] is not None or v == 2 for v in range(4)]
+        assert reachable == [False, False, True, True]
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
@@ -61,9 +51,9 @@ class TestDominatorTree:
         # idom(v) removal makes v unreachable from the root
         for seed in range(30):
             g = random_sc_graph(seed, max_n=15)
-            t = dominator_tree(g.out_adj, g.in_adj, 0)
+            idom = dominator_tree(g.out_adj, g.in_adj, 0)
             for v in range(1, g.n):
-                d = t.idom[v]
+                d = idom[v]
                 assert d is not None
                 if d == 0:
                     continue
@@ -81,32 +71,32 @@ class TestDominatorTree:
     def test_independent_of_edge_order(self):
         for seed in range(20):
             g = random_sc_graph(seed + 300, max_n=15)
-            base = dominator_tree(g.out_adj, g.in_adj, 0).idom
+            base = dominator_tree(g.out_adj, g.in_adj, 0)
             edges = list(g.edges)
-            rng = RngState(seed)
+            rng = seed
             for _ in range(3):
                 # seeded Fisher-Yates shuffle
                 for i in range(len(edges) - 1, 0, -1):
                     rng, j = rng_below(rng, i + 1)
                     edges[i], edges[j] = edges[j], edges[i]
                 h = build(g.n, edges)
-                assert dominator_tree(h.out_adj, h.in_adj, 0).idom == base
+                assert dominator_tree(h.out_adj, h.in_adj, 0) == base
+
+
+def nontrivial(g, root):
+    return _nontrivial(dominator_tree(g.out_adj, g.in_adj, root), root)
 
 
 class TestNontrivialDominators:
     def test_fixtures(self):
-        assert nontrivial_dominators(DIAMOND, 0) == set()
-        assert nontrivial_dominators(CHAIN4, 0) == {1, 2}
-        assert nontrivial_dominators(BK4, 0) == set()
-
-    def test_unreachable_is_error(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            nontrivial_dominators(CHAIN4, 2)
+        assert nontrivial(DIAMOND, 0) == set()
+        assert nontrivial(CHAIN4, 0) == {1, 2}
+        assert nontrivial(BK4, 0) == set()
 
     def test_members_disconnect_on_deletion(self):
         for seed in range(30):
             g = random_sc_graph(seed + 600, max_n=20)
-            for d in nontrivial_dominators(g, 0):
+            for d in nontrivial(g, 0):
                 h, mapping = delete_vertex(g, d)
                 seen = {mapping[0]}
                 stack = [mapping[0]]

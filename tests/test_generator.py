@@ -1,50 +1,42 @@
 import pytest
 
-from sbspan import (
-    GenConfig,
-    RngState,
-    generate,
-    is_2v_strongly_biconnected,
-    rng_below,
-    rng_next,
-)
-from sbspan.fixtures import BK4
+from sbspan import GenConfig, generate, is_2v_strongly_biconnected
+from sbspan.generator import rng_below, rng_next
+from fixtures import BK4
 
 
 class TestRng:
     def test_seed_zero_vectors(self):
-        s = RngState(0)
-        s, first = rng_next(s)
+        s, first = rng_next(0)
         assert first == 0xE220A8397B1DCDAF
         s, second = rng_next(s)
         assert second == 0x6E789E6AA1B965F4
 
     def test_same_seed_same_sequence(self):
-        a = RngState(12345)
-        b = RngState(12345)
+        a = b = 12345
         for _ in range(100):
             a, va = rng_next(a)
             b, vb = rng_next(b)
             assert va == vb
 
     def test_outputs_are_64_bit(self):
-        s = RngState(99)
+        s = 99
         for _ in range(200):
             s, v = rng_next(s)
             assert 0 <= v < 1 << 64
 
     def test_below_one_is_zero(self):
         for seed in range(20):
-            _, v = rng_below(RngState(seed), 1)
+            _, v = rng_below(seed, 1)
             assert v == 0
 
     def test_below_is_mod_of_next(self):
-        _, v = rng_below(RngState(0), 10)
+        _, v = rng_below(0, 10)
         assert v == 0xE220A8397B1DCDAF % 10 == 5
 
     def test_below_rejects_zero(self):
         with pytest.raises(ValueError):
-            rng_below(RngState(0), 0)
+            rng_below(0, 0)
 
 
 class TestGenerate:

@@ -1,22 +1,15 @@
 import pytest
 
-from sbspan import (
-    GraphError,
-    ParseError,
-    build,
-    delete_edge,
-    delete_vertex,
-    parse,
-    serialize,
-    underlying,
-)
-from sbspan.fixtures import BK4, BOWTIE, C4, OCT8
-from sbspan.generator import RngState, rng_below
+from sbspan import GraphError, ParseError, build, parse, serialize
+from sbspan.connectivity import _und_adj
+from sbspan.generator import rng_below
+from sbspan.graph import delete_edge, delete_vertex
+from fixtures import BK4, BOWTIE, C4, OCT8
 
 
 def random_graph(seed, max_n=12):
     """Seeded random simple digraph for property loops."""
-    rng = RngState(seed)
+    rng = seed
     rng, nv = rng_below(rng, max_n - 1)
     n = 2 + nv
     rng, mv = rng_below(rng, 3 * n)
@@ -119,27 +112,38 @@ class TestDeleteVertex:
             assert sorted(mapping.values()) == list(range(g.n - 1))
 
 
+def und_pairs(g):
+    """Unordered vertex pairs of g's underlying adjacency."""
+    und = _und_adj(g.out_adj, g.in_adj)
+    return {(v, w) for v in range(g.n) for w in und[v] if v < w}
+
+
 class TestUnderlying:
     def test_bk4_complete(self):
-        assert len(underlying(BK4).pairs) == 6
+        assert len(und_pairs(BK4)) == 6
 
     def test_oct8_complete(self):
         # the 8 edges cover all 6 unordered pairs of a K4
-        assert underlying(OCT8).pairs == {
+        assert und_pairs(OCT8) == {
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         }
 
     def test_c4_cycle(self):
-        assert underlying(C4).pairs == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert und_pairs(C4) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_pair_count_bound(self):
         for seed in range(40):
             g = random_graph(seed + 200)
-            u = underlying(g)
+            und = _und_adj(g.out_adj, g.in_adj)
+            # symmetric, one entry per neighbour
+            for v in range(g.n):
+                assert len(set(und[v])) == len(und[v])
+                assert all(v in und[w] for w in und[v])
+            pairs = und_pairs(g)
             antiparallel = any((v, w) in g.edge_set and (w, v) in g.edge_set
                                for v, w in g.edges)
-            assert len(u.pairs) <= g.m
-            assert (len(u.pairs) == g.m) == (not antiparallel)
+            assert len(pairs) <= g.m
+            assert (len(pairs) == g.m) == (not antiparallel)
 
 
 class TestTextFormat:

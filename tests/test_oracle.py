@@ -9,7 +9,7 @@ from sbspan import (
     is_2v_strongly_biconnected,
     small_instance_suite,
 )
-from sbspan.fixtures import BK4, C4, OCT8
+from fixtures import BK4, C4, OCT8
 
 
 class TestExactMin:
