@@ -1,7 +1,9 @@
 """Command-line front end: generate instances, run algorithms, verify
 outputs, and benchmark with a results table plus CSV.
 
-Exit status is zero only when every requested check or run succeeded.
+Exit status: 0 when every requested check or run succeeded; 1 for a failed
+run or check, an unreadable or unwritable file, or a parse error; 2 for a
+usage error.  Only ``main`` maps failures to statuses.
 """
 
 import argparse
@@ -10,9 +12,10 @@ import os
 import platform
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
-from .approx import AlgoResult, _deletion_pass, algorithm1, algorithm2, algorithm3
+from .approx import _deletion_pass, algorithm1, algorithm2, algorithm3
 from .connectivity import (
     _keeps_2vsb,
     b_articulation_points,
@@ -32,6 +35,10 @@ ALG_FUNCS = {"alg1": algorithm1, "alg2": algorithm2, "alg3": algorithm3}
 CSV_HEADER = "n,m,alg,elapsed_ms,edges_out,feasible"
 
 
+class UsageError(Exception):
+    """A bad argument value; ``main`` reports it with exit status 2."""
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -44,23 +51,23 @@ def _load_graph(path: str) -> DiGraph:
 def _selected_algorithms(raw: str) -> tuple[str, ...]:
     names = [a.strip() for a in raw.split(",") if a.strip()]
     if not names:
-        raise ValueError("no algorithms selected")
+        raise UsageError("no algorithms selected")
     if names == ["all"]:
         names = list(ALG_FUNCS)
     for name in names:
         if name not in ALG_FUNCS:
-            raise ValueError(f"unknown algorithm {name!r} (expected alg1, alg2, alg3, or all)")
+            raise UsageError(f"unknown algorithm {name!r} (expected alg1, alg2, alg3, or all)")
     return tuple(a for a in ALG_ORDER if a in names)
 
 
 def _int_list(raw: str, what: str) -> tuple[int, ...]:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
-        raise ValueError(f"no {what} given")
+        raise UsageError(f"no {what} given")
     try:
         return tuple(int(s) for s in items)
     except ValueError:
-        raise ValueError(f"invalid {what} list {raw!r}") from None
+        raise UsageError(f"invalid {what} list {raw!r}") from None
 
 
 def _vertex_set_line(label: str, points: set[int] | None, reason: str = "") -> str:
@@ -69,12 +76,21 @@ def _vertex_set_line(label: str, points: set[int] | None, reason: str = "") -> s
     return f"{label}: " + (" ".join(map(str, sorted(points))) if points else "none")
 
 
-def _record(g: DiGraph, result: AlgoResult, feasible: bool, **extra) -> dict:
-    """One run's result; the CSV line, the table cell and the JSON record
-    are all read from it."""
-    return {"n": g.n, "m": g.m, "alg": result.algorithm,
-            "elapsed_s": round(result.elapsed, 6),
-            "edges_out": result.edges_out, "feasible": feasible, **extra}
+def _solve(g: DiGraph, alg: str, reps: int = 1, **extra) -> tuple[DiGraph, dict]:
+    """Run alg on g reps times and verify the fastest output; return that
+    output and its record, from which the CSV line, the table cell and the
+    JSON record are all read."""
+    best = min((ALG_FUNCS[alg](g, precheck=False) for _ in range(reps)),
+               key=lambda r: r.elapsed)
+    sub = best.subgraph
+    t0 = time.perf_counter()
+    feasible = (sub.n == g.n and sub.edge_set <= g.edge_set
+                and is_2v_strongly_biconnected(sub))
+    verify_s = time.perf_counter() - t0
+    return sub, {"n": g.n, "m": g.m, "alg": alg,
+                 "elapsed_s": round(best.elapsed, 6),
+                 "edges_out": best.edges_out, "feasible": feasible,
+                 **extra, "verify_s": round(verify_s, 6)}
 
 
 def _ms(r: dict) -> int:
@@ -88,7 +104,7 @@ def _csv_line(r: dict) -> str:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if not 4 <= args.n <= MAX_VERTICES:
-        return _fail(f"n must be >= 4 and <= {MAX_VERTICES}")
+        raise UsageError(f"n must be >= 4 and <= {MAX_VERTICES}")
     g = generate(GenConfig(n=args.n, seed=args.seed))
     Path(args.out).write_text(serialize(g))
     print(f"{g.n} {g.m}")
@@ -103,51 +119,30 @@ def _out_path(base: str, alg: str, multiple: bool) -> Path:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        algs = _selected_algorithms(args.alg)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        g = _load_graph(args.in_path)
-    except (OSError, GraphError) as exc:
-        return _fail(str(exc))
+    algs = _selected_algorithms(args.alg)
+    g = _load_graph(args.in_path)
     if not is_2v_strongly_biconnected(g):
         return _fail("input is not 2-vertex strongly biconnected")
     all_feasible = True
     if args.csv:
         print(CSV_HEADER)
     for alg in algs:
-        result = ALG_FUNCS[alg](g, precheck=False)
-        feasible = _verify_output(g, result.subgraph)
-        all_feasible &= feasible
+        sub, rec = _solve(g, alg)
+        all_feasible &= rec["feasible"]
         if args.out:
-            path = _out_path(args.out, alg, len(algs) > 1)
-            path.write_text(serialize(result.subgraph))
-        rec = _record(g, result, feasible)
+            _out_path(args.out, alg, len(algs) > 1).write_text(serialize(sub))
         if args.csv:
             print(_csv_line(rec))
         else:
             print(f"{alg}: elapsed_ms={_ms(rec)} edges_out={rec['edges_out']} "
-                  f"feasible={str(feasible).lower()}")
+                  f"feasible={str(rec['feasible']).lower()}")
     return 0 if all_feasible else 1
-
-
-def _verify_output(g: DiGraph, sub: DiGraph) -> bool:
-    return (
-        sub.n == g.n
-        and sub.edge_set <= g.edge_set
-        and is_2v_strongly_biconnected(sub)
-    )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.minimal and not args.subgraph:
-        print("usage error: --minimal requires --subgraph", file=sys.stderr)
-        return 2
-    try:
-        g = _load_graph(args.in_path)
-    except (OSError, GraphError) as exc:
-        return _fail(str(exc))
+        raise UsageError("--minimal requires --subgraph")
+    g = _load_graph(args.in_path)
     print(f"n={g.n} m={g.m}")
     strongly_connected = is_strongly_connected(g)
     print(f"strongly_connected: {str(strongly_connected).lower()}")
@@ -168,10 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     status = 0
     if args.subgraph:
-        try:
-            sub = _load_graph(args.subgraph)
-        except (OSError, GraphError) as exc:
-            return _fail(str(exc))
+        sub = _load_graph(args.subgraph)
         subset = sub.n == g.n and sub.edge_set <= g.edge_set
         print(f"subgraph_subset: {'pass' if subset else 'fail'}")
         if not subset:
@@ -202,52 +194,39 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = _int_list(args.sizes, "sizes")
-        seeds = _int_list(args.seeds, "seeds")
-        algorithms = _selected_algorithms(args.algs)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    sizes = _int_list(args.sizes, "sizes")
+    seeds = _int_list(args.seeds, "seeds")
+    algorithms = _selected_algorithms(args.algs)
     if args.reps < 1:
-        print("usage error: --reps must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--reps must be >= 1")
     if min(sizes) < 4 or max(sizes) > MAX_VERTICES:
-        print(f"usage error: sizes must be in [4, {MAX_VERTICES}]", file=sys.stderr)
-        return 2
+        raise UsageError(f"sizes must be in [4, {MAX_VERTICES}]")
 
-    records: list[dict] = []
-    all_feasible = True
-    for n in sizes:
-        for seed in seeds:
-            g = generate(GenConfig(n=n, seed=seed))
-            print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
-            for alg in algorithms:
-                results = [
-                    ALG_FUNCS[alg](g, precheck=False) for _ in range(args.reps)
-                ]
-                best = min(results, key=lambda r: r.elapsed)
-                t0 = time.perf_counter()
-                feasible = _verify_output(g, best.subgraph)
-                verify_s = time.perf_counter() - t0
-                all_feasible &= feasible
-                records.append(_record(g, best, feasible, seed=seed,
-                                       verify_s=round(verify_s, 6)))
-
-    csv_path = Path(args.csv)
-    csv_path.write_text("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
-    if args.json:
-        Path(args.json).write_text(json.dumps({
-            "platform": platform.platform(),
-            "python_version": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "reps": args.reps,
-            "records": records,
-        }, indent=1) + "\n")
+    with ExitStack() as files:
+        # Open the outputs first, so that an unwritable path fails before
+        # the run rather than after it.
+        csv_file = files.enter_context(open(args.csv, "w"))
+        json_file = files.enter_context(open(args.json, "w")) if args.json else None
+        records = []
+        for n in sizes:
+            for seed in seeds:
+                g = generate(GenConfig(n=n, seed=seed))
+                print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
+                records += [_solve(g, alg, args.reps, seed=seed)[1]
+                            for alg in algorithms]
+        csv_file.write("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
+        if json_file:
+            json_file.write(json.dumps({
+                "platform": platform.platform(),
+                "python_version": platform.python_version(),
+                "cpu_count": os.cpu_count(),
+                "reps": args.reps,
+                "records": records,
+            }, indent=1) + "\n")
 
     print(_markdown_table(records, algorithms))
-    print(f"wrote {csv_path}", file=sys.stderr)
-    return 0 if all_feasible else 1
+    print(f"wrote {Path(args.csv)}", file=sys.stderr)
+    return 0 if all(r["feasible"] for r in records) else 1
 
 
 def _markdown_table(records: list[dict], algorithms: tuple[str, ...]) -> str:
@@ -324,7 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, GraphError) as exc:
+        return _fail(str(exc))
 
 
 def entry() -> None:

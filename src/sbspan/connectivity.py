@@ -134,21 +134,15 @@ def _und_adj(out_adj, in_adj) -> list[list[int]]:
     return [list(dict.fromkeys(a + b)) for a, b in zip(out_adj, in_adj)]
 
 
-def _sb_without(n: int, out_adj, in_adj, und, v: int | None = None) -> bool:
-    """Strongly biconnected with v treated as absent (the whole graph if None)."""
-    return _strongly_connected(out_adj, in_adj, n, v) and _biconnected(und, n, v)
-
-
 def _is_2vc(n: int, out_adj, in_adj) -> bool:
-    """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2,
-    strongly connected, and no strong articulation point (dominator test)."""
+    """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2, and
+    strongly connected with no strong articulation point, both read from
+    one pair of dominator trees."""
     if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
-        return False
-    if not _strongly_connected(out_adj, in_adj, n):
         return False
     from .dominators import _strong_articulation_points
 
-    return not _strong_articulation_points(n, out_adj, in_adj)
+    return _strong_articulation_points(n, out_adj, in_adj) == set()
 
 
 def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
@@ -444,7 +438,8 @@ def blocks(n: int, adj) -> tuple[frozenset[int], ...]:
 
 def is_strongly_biconnected(g: DiGraph) -> bool:
     """Strongly connected and the underlying graph is biconnected."""
-    return _sb_without(g.n, g.out_adj, g.in_adj, _und_adj(g.out_adj, g.in_adj))
+    return (_strongly_connected(g.out_adj, g.in_adj, g.n)
+            and _biconnected(_und_adj(g.out_adj, g.in_adj), g.n))
 
 
 def strong_articulation_points_bruteforce(g: DiGraph) -> set[int]:
@@ -484,10 +479,11 @@ def b_articulation_points(g: DiGraph) -> set[int]:
     """Vertices whose deletion leaves a graph that is not strongly biconnected."""
     if g.n < 2:
         raise ValueError("b-articulation points require n >= 2")
-    und = _und_adj(g.out_adj, g.in_adj)
-    return {
-        v for v in range(g.n) if not _sb_without(g.n, g.out_adj, g.in_adj, und, v)
-    }
+    out_adj, in_adj, n = g.out_adj, g.in_adj, g.n
+    und = _und_adj(out_adj, in_adj)
+    return {v for v in range(n)
+            if not _strongly_connected(out_adj, in_adj, n, v)
+            or not _biconnected(und, n, v)}
 
 
 def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[frozenset[int]]]:

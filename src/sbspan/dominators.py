@@ -49,7 +49,6 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
     rpo_num = [-1] * n
     for i, v in enumerate(rpo):
         rpo_num[v] = i
-    preds = [[u for u in pred[v] if seen[u]] for v in range(n)]
 
     idom = [-1] * n
     idom[root] = root
@@ -60,7 +59,8 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
             if v == root:
                 continue
             new = -1
-            for p in preds[v]:
+            for p in pred[v]:
+                # an unreachable or not yet processed predecessor is skipped
                 if idom[p] == -1:
                     continue
                 if new == -1:
@@ -87,11 +87,19 @@ def _nontrivial(idom, root: int) -> set[int]:
     return {d for d in idom if d is not None and d != root}
 
 
-def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int]:
+def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int] | None:
     """Dominator-based core of ``strong_articulation_points_fast`` over
-    adjacency lists; the graph must be strongly connected with n >= 3."""
-    points = _nontrivial(dominator_tree(out_adj, in_adj, 0), 0)
-    points |= _nontrivial(dominator_tree(in_adj, out_adj, 0), 0)
+    adjacency lists with n >= 3; None unless the graph is strongly connected.
+
+    A vertex missing from the dominator tree of g or of its reverse, both
+    rooted at 0, is not reached from 0 or does not reach it.
+    """
+    points: set[int] = set()
+    for succ, pred in ((out_adj, in_adj), (in_adj, out_adj)):
+        idom = dominator_tree(succ, pred, 0)
+        if idom.count(None) > 1:
+            return None
+        points |= _nontrivial(idom, 0)
     if not _strongly_connected(out_adj, in_adj, n, 0):
         points.add(0)
     return points
@@ -105,6 +113,7 @@ def strong_articulation_points_fast(g: DiGraph) -> set[int]:
     """
     if g.n < 3:
         raise ValueError(f"strong articulation points require n >= 3, got n={g.n}")
-    if not _strongly_connected(g.out_adj, g.in_adj, g.n):
+    points = _strong_articulation_points(g.n, g.out_adj, g.in_adj)
+    if points is None:
         raise ValueError("graph must be strongly connected")
-    return _strong_articulation_points(g.n, g.out_adj, g.in_adj)
+    return points

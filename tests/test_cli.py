@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sbspan
 from sbspan import parse, serialize
 from sbspan.cli import main
 from fixtures import BBOWTIE, BK4, C4, OCT8
@@ -9,6 +15,11 @@ def write_graph(tmp_path, name, g):
     path = tmp_path / name
     path.write_text(serialize(g))
     return str(path)
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 class TestGen:
@@ -27,8 +38,9 @@ class TestGen:
 
     def test_n3_rejected(self, tmp_path, capsys):
         rc = main(["gen", "--n", "3", "--seed", "1", "--out", str(tmp_path / "x")])
-        assert rc != 0
-        assert "n must be >= 4" in capsys.readouterr().err
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "n must be >= 4" in err
 
     def test_outsized_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -36,6 +48,23 @@ class TestGen:
         assert rc != 0
         assert "n must be >= 4 and <= 100000" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.txt"
+        assert main(["gen", "--n", "4", "--seed", "1", "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_unwritable_out_through_entry_point(self, tmp_path):
+        # the real entry point: no traceback escapes past main
+        src = str(Path(sbspan.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sbspan.cli", "gen", "--n", "4", "--seed", "1",
+             "--out", str(tmp_path / "missing" / "g.txt")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert_one_error_line(proc.stderr)
 
 
 class TestRun:
@@ -80,14 +109,21 @@ class TestRun:
 
     def test_unknown_alg(self, tmp_path, capsys):
         path = write_graph(tmp_path, "oct8.txt", OCT8)
-        assert main(["run", "--alg", "alg9", "--in", path]) != 0
-        assert "unknown algorithm" in capsys.readouterr().err
+        assert main(["run", "--alg", "alg9", "--in", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "unknown algorithm" in err
 
     def test_parse_error_propagates(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("4 5\n0 1\n")
         assert main(["run", "--alg", "alg2", "--in", str(bad)]) != 0
         assert "edge count mismatch" in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "oct8.txt", OCT8)
+        out = tmp_path / "missing" / "sub.txt"
+        assert main(["run", "--alg", "alg2", "--in", path, "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestCheck:
@@ -98,6 +134,10 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "vertex count" in captured.err
         assert captured.out == ""
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["check", "--in", str(tmp_path / "missing.txt")]) == 1
+        assert_one_error_line(capsys.readouterr().err)
 
     def test_bbowtie_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bbowtie.txt", BBOWTIE)
@@ -249,6 +289,18 @@ class TestBench:
         captured = capsys.readouterr()
         assert "usage error" in captured.err and "bench:" not in captured.err
         assert captured.out == "" and not csv.exists()
+
+    @pytest.mark.parametrize("bad", ["--csv", "--json"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, bad):
+        paths = {"--csv": str(tmp_path / "bench.csv"),
+                 "--json": str(tmp_path / "bench.json")}
+        paths[bad] = str(tmp_path / "missing" / "out")
+        rc = main(["bench", "--sizes", "10", "--seeds", "1", "--algs", "alg2",
+                   "--csv", paths["--csv"], "--json", paths["--json"]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert captured.out == ""
 
     def test_selected_subset_only(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"

@@ -138,6 +138,10 @@ class TestStrongArticulationPointsFast:
             strong_articulation_points_fast(CHAIN4)
         with pytest.raises(ValueError):
             strong_articulation_points_fast(build(2, [(0, 1), (1, 0)]))
+        # G - 0 is strongly connected but nothing reaches 0
+        with pytest.raises(ValueError):
+            strong_articulation_points_fast(build(4, [
+                (0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]))
 
     def test_matches_bruteforce(self):
         for seed in range(60):
