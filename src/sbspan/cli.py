@@ -124,18 +124,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not is_2v_strongly_biconnected(g):
         return _fail("input is not 2-vertex strongly biconnected")
     all_feasible = True
-    if args.csv:
-        print(CSV_HEADER)
-    for alg in algs:
-        sub, rec = _solve(g, alg)
-        all_feasible &= rec["feasible"]
-        if args.out:
-            _out_path(args.out, alg, len(algs) > 1).write_text(serialize(sub))
+    with ExitStack() as files:
+        # Open the outputs first, so that an unwritable path fails before
+        # the first solve rather than after it.
+        outs = [files.enter_context(open(_out_path(args.out, alg, len(algs) > 1), "w"))
+                if args.out else None for alg in algs]
         if args.csv:
-            print(_csv_line(rec))
-        else:
-            print(f"{alg}: elapsed_ms={_ms(rec)} edges_out={rec['edges_out']} "
-                  f"feasible={str(rec['feasible']).lower()}")
+            print(CSV_HEADER)
+        for alg, out in zip(algs, outs):
+            sub, rec = _solve(g, alg)
+            all_feasible &= rec["feasible"]
+            if out is not None:
+                out.write(serialize(sub))
+            if args.csv:
+                print(_csv_line(rec))
+            else:
+                print(f"{alg}: elapsed_ms={_ms(rec)} edges_out={rec['edges_out']} "
+                      f"feasible={str(rec['feasible']).lower()}")
     return 0 if all_feasible else 1
 
 
@@ -182,10 +187,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             if not minimal:
                 status = 1
     if args.exact:
-        if g.m > SEARCH_EDGE_LIMIT:
-            return _fail(
-                f"--exact requires m <= {SEARCH_EDGE_LIMIT}, graph has {g.m} edges"
-            )
         try:
             print(f"exact_minimum: {exact_min_2vsb(g).opt_size}")
         except ValueError as exc:

@@ -25,13 +25,13 @@ candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
 internally vertex-disjoint paths between the edge's endpoints (Menger's
 theorem), which is exact when the graph was feasible before the deletion.
 
-Each local verdict is cheap in the common cases.  A degree floor rejects
-first, in O(deg): k internally disjoint s-t paths leave s and reach t
-through k distinct neighbours.  ``_disjoint_paths`` then packs k paths
-greedily, one bidirectional BFS each (``_greedy_paths``); finding all k
-certifies a yes.  Only when the greedy packing falls short does the
-unit-capacity max flow (``_flow_paths``), the one exact routine, decide, so
-every verdict equals the flow's.
+Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
+cheap in the common cases.  A degree floor rejects first, in O(deg): k
+internally disjoint s-t paths leave s and reach t through k distinct
+neighbours.  Each path is then found by a bidirectional BFS through the
+vertices that no earlier path uses; only when there is none does a BFS over
+the residual graph reroute the paths found so far, and its failure proves
+fewer than k.
 
 Algorithm 1's repair asks whether two vertices share a strongly biconnected
 component of G - v, with G 2VC and so G - v strongly connected.  Those are
@@ -154,38 +154,65 @@ def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
     return not all(_biconnected(und, n, v) for v in range(n))
 
 
-def _greedy_paths(out_adj, in_adj, s: int, t: int, k: int,
-                  undirected: bool = False, avoid: int | None = None) -> bool:
-    """True only if k internally vertex-disjoint s->t paths exist; may miss.
+def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
+                    undirected: bool = False, avoid: int | None = None) -> bool:
+    """True iff there are at least k internally vertex-disjoint s->t paths.
 
-    Finds the paths one at a time, each by a bidirectional BFS (Pohl 1971)
-    that expands the smaller frontier by one level and skips ``avoid`` and
-    the internal vertices of the paths found before.  The k paths found are
-    a certificate; a failure proves nothing, since an early path may block
-    every later one that a flow would reroute.  Arguments and requirements
-    are those of ``_disjoint_paths``.
+    With ``undirected`` the underlying graph is searched: x's neighbours are
+    ``out_adj[x]`` plus ``in_adj[x]``.  Paths never pass through ``avoid``.
+    Requires s != t and no edge s->t (in underlying mode, s and t not
+    adjacent), so that every path has an internal vertex.
+
+    A unit-capacity max flow that grows one path at a time; ``prv`` maps
+    each internal vertex on a path to its predecessor there.  A degree floor
+    answers first: k paths leave s and reach t through k distinct
+    neighbours.  Each path is then sought by the free search
+    (``_free_path``) and, only when that fails, by one residual BFS
+    (``_reroute``), whose failure proves the flow maximum.
     """
-    fwd = (out_adj, in_adj) if undirected else (out_adj,)
-    bwd = (out_adj, in_adj) if undirected else (in_adj,)
-    blocked = {avoid}
+    if undirected:
+        fwd = bwd = (out_adj, in_adj)
+        if (len({*out_adj[s], *in_adj[s]}) < k
+                or len({*out_adj[t], *in_adj[t]}) < k):
+            return False
+    else:
+        fwd, bwd = (out_adj,), (in_adj,)
+        if len(out_adj[s]) < k or len(in_adj[t]) < k:
+            return False
+    prv: dict[int, int] = {}
     for _ in range(k):
-        fpar, bpar = {s: s}, {t: t}
-        ffront, bfront = [s], [t]
-        meet = None
-        while meet is None:
-            if not ffront or not bfront:
-                return False
-            if len(ffront) <= len(bfront):
-                ffront, meet = _bfs_level(ffront, fwd, fpar, bpar, blocked)
-            else:
-                bfront, meet = _bfs_level(bfront, bwd, bpar, fpar, blocked)
-        for par in (fpar, bpar):
-            x = par[meet]
-            while par[x] != x:
-                blocked.add(x)
-                x = par[x]
-        if meet != s and meet != t:
-            blocked.add(meet)
+        if not (_free_path(fwd, bwd, s, t, prv, avoid)
+                or _reroute(fwd, s, t, prv, avoid)):
+            return False
+        del prv[t]  # both steps record t's; a later search must enter t
+    return True
+
+
+def _free_path(fwd, bwd, s: int, t: int, prv: dict, avoid) -> bool:
+    """Add to ``prv`` an s->t path through vertices that no path uses.
+
+    A bidirectional BFS (Pohl 1971) expanding the smaller frontier by one
+    level; both searches start with ``avoid`` marked reached.  Such a path
+    is always an augmenting path of the flow; False only means there is none.
+    """
+    fpar, bpar = {avoid: s, s: s}, {avoid: t, t: t}
+    ffront, bfront = [s], [t]
+    meet = None
+    while meet is None:
+        if not ffront or not bfront:
+            return False
+        if len(ffront) <= len(bfront):
+            ffront, meet = _bfs_level(ffront, fwd, fpar, bpar, prv)
+        else:
+            bfront, meet = _bfs_level(bfront, bwd, bpar, fpar, prv)
+    y = meet
+    while y != s:  # fpar[y] precedes y
+        prv[y] = fpar[y]
+        y = fpar[y]
+    y = meet
+    while y != t:  # bpar[y] follows y
+        prv[bpar[y]] = y
+        y = bpar[y]
     return True
 
 
@@ -205,78 +232,52 @@ def _bfs_level(front, adjs, par, other, blocked):
     return nxt, None
 
 
-def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
-                    undirected: bool = False, avoid: int | None = None) -> bool:
-    """True iff there are at least k internally vertex-disjoint s->t paths.
-
-    With ``undirected`` the underlying graph is searched: x's neighbours are
-    ``out_adj[x]`` plus ``in_adj[x]``.  Paths never pass through ``avoid``.
-    Requires s != t and no edge s->t (in underlying mode, s and t not
-    adjacent), so that every path has an internal vertex.
-
-    A greedy packing of paths found by bidirectional BFS (``_greedy_paths``)
-    answers first: k paths found certify True.  Only when it falls short
-    does the unit-capacity max flow (``_flow_paths``), the one exact
-    routine, decide.
+def _reroute(adjs, s: int, t: int, prv: dict, avoid) -> bool:
+    """Add one path to the flow ``prv`` by a BFS over the residual
+    vertex-split graph, rerouting earlier paths; False iff the flow is
+    maximum.  State 2x is x's in-copy and 2x+1 its out-copy.
     """
-    return (_greedy_paths(out_adj, in_adj, s, t, k, undirected, avoid)
-            or _flow_paths(out_adj, in_adj, s, t, k, undirected, avoid))
-
-
-def _flow_paths(out_adj, in_adj, s: int, t: int, k: int,
-                undirected: bool = False, avoid: int | None = None) -> bool:
-    """Exact core of ``_disjoint_paths``, same arguments and contract.
-
-    Unit-capacity max flow on the implicit vertex-split graph, one BFS
-    augmentation per path, stopping at the first BFS that fails.  State 2x
-    is x's in-copy and 2x+1 its out-copy; an internal vertex x carries flow
-    iff ``prv[x]`` (its flow predecessor) is set.
-    """
-    adjs = (out_adj, in_adj) if undirected else (out_adj,)
-    n = len(out_adj)
-    prv = [-1] * n
+    par = [-1] * (2 * len(adjs[0]))
     src, target = 2 * s + 1, 2 * t
-    for _ in range(k):
-        par = [-1] * (2 * n)
-        par[src] = par[2 * s] = src  # s's in-copy is never entered
-        if avoid is not None:
-            par[2 * avoid] = src  # nor is the avoided vertex's
-        queue = [src]
-        for state in queue:
-            x = state >> 1
-            if state & 1:
-                for adj in adjs:
-                    for y in adj[x]:
-                        w = 2 * y
-                        if par[w] < 0:
-                            par[w] = state
-                            queue.append(w)
-                # residual of x's saturated split arc runs out -> in
-                if prv[x] >= 0 and par[2 * x] < 0:
-                    par[2 * x] = state
-                    queue.append(2 * x)
-            else:
-                # a free vertex passes on to its out-copy; a used one only
-                # back along its flow edge, cancelling it
-                p = prv[x]
-                w = 2 * x + 1 if p < 0 else 2 * p + 1
-                if par[w] < 0:
-                    par[w] = state
-                    queue.append(w)
-            if par[target] >= 0:
-                break
+    par[src] = par[2 * s] = src  # s's in-copy is never entered
+    if avoid is not None:
+        par[2 * avoid] = src  # nor is the avoided vertex's
+    queue = [src]
+    for state in queue:
+        x = state >> 1
+        if state & 1:
+            for adj in adjs:
+                for y in adj[x]:
+                    w = 2 * y
+                    if par[w] < 0:
+                        par[w] = state
+                        queue.append(w)
+            # residual of x's saturated split arc runs out -> in
+            if x in prv and par[2 * x] < 0:
+                par[2 * x] = state
+                queue.append(2 * x)
         else:
-            return False
-        # Walking back, a vertex's cancelled in-edge precedes its new one.
-        w = target
-        while w != src:
-            p = par[w]
-            if p >> 1 != w >> 1:
-                if w & 1:
-                    prv[p >> 1] = -1
-                else:
-                    prv[w >> 1] = p >> 1
-            w = p
+            # a free vertex passes on to its out-copy; a used one only
+            # back along its flow edge, cancelling it
+            p = prv.get(x)
+            w = 2 * x + 1 if p is None else 2 * p + 1
+            if par[w] < 0:
+                par[w] = state
+                queue.append(w)
+        if par[target] >= 0:
+            break
+    else:
+        return False
+    # Walking back, a vertex's cancelled in-edge precedes its new one.
+    w = target
+    while w != src:
+        p = par[w]
+        if p >> 1 != w >> 1:
+            if w & 1:
+                del prv[p >> 1]
+            else:
+                prv[w >> 1] = p >> 1
+        w = p
     return True
 
 
@@ -286,11 +287,9 @@ def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     Called on the graph with (u, v) already deleted.  Exact only when the
     graph was 2-vertex connected before the deletion: then any separating
     vertex of the rest would split u from v, so two internally disjoint
-    u->v paths suffice.  Two such paths leave u and enter v by distinct
-    edges, so an out-degree of u or in-degree of v below 2 rejects at once.
+    u->v paths suffice.
     """
-    return (len(out_adj[u]) >= 2 and len(in_adj[v]) >= 2
-            and _disjoint_paths(out_adj, in_adj, u, v, 2))
+    return _disjoint_paths(out_adj, in_adj, u, v, 2)
 
 
 def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
@@ -301,17 +300,11 @@ def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     of 2VSB (see the module docstring), the deletion keeps it iff two
     internally disjoint u->v paths remain and, unless the antiparallel edge
     (v, u) keeps the underlying graph unchanged, three internally disjoint
-    u-v paths remain in the underlying graph.  Each half first asks the
-    degrees those paths need: the directed floor of ``_keeps_2vc``, then
-    three distinct underlying neighbours of u and of v.
+    u-v paths remain in the underlying graph.
     """
-    if not _keeps_2vc(out_adj, in_adj, u, v):
-        return False
-    return u in out_adj[v] or (
-        len(set(out_adj[u]).union(in_adj[u])) >= 3
-        and len(set(out_adj[v]).union(in_adj[v])) >= 3
-        and _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True)
-    )
+    return _keeps_2vc(out_adj, in_adj, u, v) and (
+        u in out_adj[v]
+        or _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True))
 
 
 # ---- public predicates ------------------------------------------------------

@@ -30,12 +30,12 @@ def exact_min_2vsb(g: DiGraph) -> ExactResult:
     in lexicographic edge-index order, so the witness is the
     lexicographically smallest optimum.
     """
-    if not is_2v_strongly_biconnected(g):
-        raise ValueError("input is not 2-vertex strongly biconnected")
     if g.m > SEARCH_EDGE_LIMIT:
         raise ValueError(
-            f"edge count {g.m} exceeds the search guard ({SEARCH_EDGE_LIMIT})"
+            f"edge count {g.m} exceeds the search guard (m <= {SEARCH_EDGE_LIMIT})"
         )
+    if not is_2v_strongly_biconnected(g):
+        raise ValueError("input is not 2-vertex strongly biconnected")
     n, m, edges = g.n, g.m, g.edges
 
     # suffix degree availability: how many edges at index >= i leave/enter v

@@ -125,6 +125,16 @@ class TestRun:
         assert main(["run", "--alg", "alg2", "--in", path, "--out", str(out)]) == 1
         assert_one_error_line(capsys.readouterr().err)
 
+    def test_unwritable_out_fails_before_solving(self, tmp_path, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the outputs were opened")
+
+        monkeypatch.setattr(sbspan.cli, "_solve", solve)
+        path = write_graph(tmp_path, "oct8.txt", OCT8)
+        out = tmp_path / "missing" / "sub.txt"
+        assert main(["run", "--alg", "all", "--in", path, "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
 
 class TestCheck:
     def test_outsized_header(self, tmp_path, capsys):

@@ -423,15 +423,32 @@ def _deleted_lists(g, e):
     return out_adj, in_adj
 
 
+def _count_reroutes(monkeypatch):
+    """Counter of ``_reroute``'s results, by verdict, from here on."""
+    from collections import Counter
+
+    from sbspan import connectivity
+
+    counts = Counter()
+    reroute = connectivity._reroute
+
+    def counted(*args):
+        counts[found := reroute(*args)] += 1
+        return found
+
+    monkeypatch.setattr(connectivity, "_reroute", counted)
+    return counts
+
+
 class TestDisjointPaths:
-    def test_matches_min_vertex_separator(self):
-        # Menger: k internally disjoint paths iff no separator below k.  The
-        # exact flow is checked on its own, then the greedy-fronted routine.
+    def test_matches_min_vertex_separator(self, monkeypatch):
+        # Menger: k internally disjoint paths iff no separator below k.
         from collections import Counter
         from itertools import combinations, product
 
-        from sbspan.connectivity import _disjoint_paths, _flow_paths
+        from sbspan.connectivity import _disjoint_paths
 
+        reroutes = _count_reroutes(monkeypatch)
         verdicts = Counter()
         for seed in range(150):
             g = random_graph(seed + 9000, max_n=9, density=4)
@@ -455,64 +472,39 @@ class TestDisjointPaths:
                                 for cut in combinations(rest, size)
                             )
                             args = (g.out_adj, g.in_adj, s, t, k, undirected, avoid)
-                            got = _flow_paths(*args)
+                            got = _disjoint_paths(*args)
                             assert got == expect, (seed, undirected, s, t, k, avoid)
-                            assert _disjoint_paths(*args) == expect
                             verdicts[undirected, k, expect, avoid is None] += 1
         assert all(verdicts[u, k, x, a] for u in (False, True) for k in (2, 3)
                    for x in (False, True) for a in (False, True))
+        # the residual step both found a rerouted path and proved a maximum
+        assert reroutes[True] and reroutes[False]
 
-    def test_cancels_a_blocking_path(self):
-        from sbspan.connectivity import _flow_paths
+    def test_cancels_a_blocking_path(self, monkeypatch):
+        from sbspan.connectivity import _disjoint_paths
 
         # BFS first routes s-a-d-t; the second path must cancel a->d to
         # reach s-a-b-t plus s-c-d-t.
         s, a, b, c, d, t = range(6)
         g = build(6, [(s, a), (s, c), (a, d), (a, b), (c, d), (d, t), (b, t)])
-        assert _flow_paths(g.out_adj, g.in_adj, s, t, 2)
-        assert not _flow_paths(g.out_adj, g.in_adj, s, t, 3)
-        assert not _flow_paths(g.out_adj, g.in_adj, t, s, 1)
-        assert _flow_paths(g.out_adj, g.in_adj, t, s, 2, undirected=True)
+        reroutes = _count_reroutes(monkeypatch)
+        assert _disjoint_paths(g.out_adj, g.in_adj, s, t, 2)
+        assert reroutes == {True: 1}
+        assert not _disjoint_paths(g.out_adj, g.in_adj, s, t, 3)
+        assert not _disjoint_paths(g.out_adj, g.in_adj, t, s, 1)
+        assert _disjoint_paths(g.out_adj, g.in_adj, t, s, 2, undirected=True)
 
-    def test_greedy_trap_falls_back_to_flow(self):
-        from sbspan.connectivity import _disjoint_paths, _flow_paths, _greedy_paths
+    def test_free_search_trap_reroutes(self, monkeypatch):
+        from sbspan.connectivity import _disjoint_paths
 
         # s-a-b-t is the one shortest path and meets both detours,
         # s-a-p-q-t and s-c-d-b-t, which are disjoint only without it.
         s, a, b, t, p, q, c, d = range(8)
         g = build(8, [(s, a), (a, b), (b, t), (a, p), (p, q), (q, t),
                       (s, c), (c, d), (d, b)])
-        args = (g.out_adj, g.in_adj, s, t, 2)
-        assert not _greedy_paths(*args)
-        assert _flow_paths(*args)
-        assert _disjoint_paths(*args)
-
-    def test_greedy_never_overclaims_on_edge_deletions(self):
-        # Every single-edge deletion of small generated instances, in both
-        # halves of the 2VSB deletion test: a greedy yes is a flow yes, and
-        # the fronted routine equals the flow.
-        from sbspan import GenConfig, generate
-        from sbspan.connectivity import _disjoint_paths, _flow_paths, _greedy_paths
-
-        checks = misses = 0
-        for n in range(4, 16):
-            for seed in range(60):
-                g = generate(GenConfig(n=n, seed=seed))
-                for u, v in g.edges:
-                    out_adj, in_adj = _deleted_lists(g, (u, v))
-                    halves = [(2, False)]
-                    if u not in out_adj[v]:
-                        halves.append((3, True))
-                    for k, undirected in halves:
-                        args = (out_adj, in_adj, u, v, k, undirected)
-                        exact = _flow_paths(*args)
-                        greedy = _greedy_paths(*args)
-                        assert exact or not greedy, (n, seed, u, v, k)
-                        assert _disjoint_paths(*args) == exact
-                        checks += 1
-                        misses += exact and not greedy
-        assert checks == 44266
-        assert misses  # the fallback decides some verdicts
+        reroutes = _count_reroutes(monkeypatch)
+        assert _disjoint_paths(g.out_adj, g.in_adj, s, t, 2)
+        assert reroutes == {True: 1}
 
 
 class TestLocalDeletionTest:

@@ -36,6 +36,12 @@ class TestExactMin:
         with pytest.raises(ValueError, match="guard"):
             exact_min_2vsb(big)
 
+    def test_guard_comes_first(self):
+        # an infeasible graph over the guard fails on the cheap edge count
+        cycle = build(30, [(v, (v + 1) % 30) for v in range(30)])
+        with pytest.raises(ValueError, match="guard"):
+            exact_min_2vsb(cycle)
+
     def test_idempotent_on_optimum(self):
         for g, exact in small_instance_suite(4, seed=11):
             again = exact_min_2vsb(exact.witness)
