@@ -15,9 +15,8 @@ import time
 from contextlib import ExitStack
 from pathlib import Path
 
-from .approx import _deletion_pass, algorithm1, algorithm2, algorithm3
+from .approx import algorithm1, algorithm2, algorithm3
 from .connectivity import (
-    _keeps_2vsb,
     b_articulation_points,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
@@ -179,10 +178,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not feasible:
             status = 1
         if args.minimal:
-            # Minimal iff the pass deletes nothing: h equals sub until then.
-            # Its local test needs a feasible sub; an infeasible one is
-            # vacuously minimal, as no deletion restores feasibility.
-            minimal = not feasible or _deletion_pass(sub, _keeps_2vsb).m == sub.m
+            # Minimal iff alg2's deletion pass deletes nothing.  Its local
+            # test needs a feasible sub; an infeasible one is vacuously
+            # minimal, as no deletion restores feasibility.
+            minimal = not feasible or algorithm2(sub, precheck=False).edges_out == sub.m
             print(f"subgraph_minimal: {'pass' if minimal else 'fail'}")
             if not minimal:
                 status = 1

@@ -59,9 +59,8 @@ def generate(cfg: GenConfig) -> DiGraph:
     # Out- and in-degrees still below 2; no 2VSB graph has one, so the
     # whole-graph check waits until this count reaches 0.
     short = 2 * n
-
-    def add_new(rng: int) -> int:
-        nonlocal short
+    target = min(3 * n, n * (n - 1))
+    while len(edges) < target or short or _two_vsb_violation(n, out_adj, in_adj):
         while True:
             rng, u = rng_below(rng, n)
             rng, v = rng_below(rng, n)
@@ -72,11 +71,4 @@ def generate(cfg: GenConfig) -> DiGraph:
         out_adj[u].append(v)
         in_adj[v].append(u)
         short -= (len(out_adj[u]) == 2) + (len(in_adj[v]) == 2)
-        return rng
-
-    target = min(3 * n, n * (n - 1))
-    while len(edges) < target:
-        rng = add_new(rng)
-    while short or _two_vsb_violation(n, out_adj, in_adj):
-        rng = add_new(rng)
     return build(n, edges)

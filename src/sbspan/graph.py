@@ -117,7 +117,9 @@ def parse(text: str) -> DiGraph:
 
     Lines starting with '#' are comments and may appear anywhere.  The
     first data line is "n m" with 1 <= n <= MAX_VERTICES; exactly m data
-    lines "u v" follow.  Raises ParseError with the offending line number.
+    lines "u v" follow.  Each field is a run of ASCII digits; fields are
+    separated by any whitespace.  Raises ParseError with the offending line
+    number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -126,14 +128,11 @@ def parse(text: str) -> DiGraph:
         if raw.startswith("#"):
             continue
         parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {raw!r}") from None
+        if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
+            raise ParseError(line_no, f"expected two decimal integers, got {raw!r}")
+        a, b = int(parts[0]), int(parts[1])
         if header is None:
-            if a < 1 or b < 0:
+            if a < 1:
                 raise ParseError(line_no, f"invalid header {raw!r}")
             if a > MAX_VERTICES:
                 raise ParseError(line_no, f"vertex count {a} exceeds {MAX_VERTICES}")

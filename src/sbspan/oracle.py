@@ -2,13 +2,15 @@
 
 Ground truth for approximation-ratio tests: enumerates edge subsets by
 increasing size starting at the 2n degree floor, pruning any partial
-choice that can no longer give every vertex in- and out-degree 2.  Slow by
-design and obviously correct; guarded to m <= 24 edges.
+choice that can no longer give every vertex in- and out-degree 2.  The
+search runs on one mutable adjacency of the chosen edges and builds a
+DiGraph only for the witness.  Slow by design and obviously correct;
+guarded to m <= 24 edges.
 """
 
 from dataclasses import dataclass
 
-from .connectivity import is_2v_strongly_biconnected
+from .connectivity import _two_vsb_violation, is_2v_strongly_biconnected
 from .generator import GenConfig, generate
 from .graph import DiGraph, build
 
@@ -48,46 +50,43 @@ def exact_min_2vsb(g: DiGraph) -> ExactResult:
         suf_out[i][u] += 1
         suf_in[i][v] += 1
 
-    cur_out = [0] * n
-    cur_in = [0] * n
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
     chosen: list[int] = []
 
-    def search(next_i: int, remaining: int) -> DiGraph | None:
+    def search(next_i: int, remaining: int) -> bool:
         if remaining == 0:
-            sub = build(n, [edges[i] for i in chosen])
-            return sub if is_2v_strongly_biconnected(sub) else None
+            return not _two_vsb_violation(n, out_adj, in_adj)
         if m - next_i < remaining:
-            return None
+            return False
         so, si = suf_out[next_i], suf_in[next_i]
         out_deficit = 0
         in_deficit = 0
         for v in range(n):
-            co, ci = cur_out[v], cur_in[v]
+            co, ci = len(out_adj[v]), len(in_adj[v])
             if co + so[v] < 2 or ci + si[v] < 2:
-                return None
+                return False
             if co < 2:
                 out_deficit += 2 - co
             if ci < 2:
                 in_deficit += 2 - ci
         if out_deficit > remaining or in_deficit > remaining:
-            return None
+            return False
         for i in range(next_i, m - remaining + 1):
             u, v = edges[i]
             chosen.append(i)
-            cur_out[u] += 1
-            cur_in[v] += 1
-            found = search(i + 1, remaining - 1)
-            if found is not None:
-                return found
+            out_adj[u].append(v)
+            in_adj[v].append(u)
+            if search(i + 1, remaining - 1):
+                return True
             chosen.pop()
-            cur_out[u] -= 1
-            cur_in[v] -= 1
-        return None
+            out_adj[u].pop()
+            in_adj[v].pop()
+        return False
 
     for k in range(2 * n, m + 1):
-        witness = search(0, k)
-        if witness is not None:
-            return ExactResult(opt_size=k, witness=witness)
+        if search(0, k):
+            return ExactResult(opt_size=k, witness=build(n, [edges[i] for i in chosen]))
     raise AssertionError("unreachable: the full edge set is feasible")
 
 

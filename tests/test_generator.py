@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from sbspan import GenConfig, generate, is_2v_strongly_biconnected
+from sbspan import GenConfig, generate, is_2v_strongly_biconnected, serialize
 from sbspan.generator import rng_below, rng_next
 from fixtures import BK4
 
@@ -76,3 +78,16 @@ class TestGenerate:
         g = generate(GenConfig(n=9, seed=5))
         assert len(set(g.edges)) == g.m
         assert all(u != v for u, v in g.edges)
+
+    @pytest.mark.parametrize("n, seed, m, digest", [
+        (10, 1, 37, "f69181cf3175de2da55d6bb51c3ae3887a9b5014aa29d00e65fedfc90e2966bb"),
+        (60, 1, 467, "43bdbfee581dd13e7313726e6d5fb1093a0fbd23165388136f5ead9d80f8c1ee"),
+        (100, 1, 692, "4434a9776b51b0017139b69cf6dc015ac93750971ca047bd81358ad9665bc353"),
+        (200, 2, 1439, "e3a19d66034ef1373700412e7109cac47850d16b288647bbedae466a068031c4"),
+    ])
+    def test_output_is_pinned(self, n, seed, m, digest):
+        # the benchmark's instances, byte for byte: a change to the draw
+        # order or the stopping rule shows here, not only in perfbench
+        g = generate(GenConfig(n=n, seed=seed))
+        assert g.m == m
+        assert hashlib.sha256(serialize(g).encode()).hexdigest() == digest

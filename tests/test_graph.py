@@ -190,6 +190,16 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="missing header"):
             parse("# only a comment\n")
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("4 1\n0 \uff13\n", 2),  # fullwidth digit three
+        ("+4 1\n0 1\n", 1),
+        ("4 1\n0 1_0\n", 2),
+        ("4 1\n0 -1\n", 2),
+    ], ids=["fullwidth-digit", "plus-sign", "underscore", "minus-sign"])
+    def test_fields_are_ascii_digits(self, text, line_no):
+        with pytest.raises(ParseError, match=f"line {line_no}: expected two decimal"):
+            parse(text)
+
     def test_duplicate_edge_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse("3 2\n0 1\n0 1\n")

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from sbspan import (
@@ -48,16 +51,20 @@ class TestExactMin:
             assert again.opt_size == exact.opt_size
 
     def test_witness_is_lexicographically_first(self):
-        # BK4's optimum at size 8 should be the first degree-feasible
-        # feasible subset in index order; re-derive by plain enumeration.
-        import itertools
-
-        for subset in itertools.combinations(range(BK4.m), 8):
-            sub = build(4, [BK4.edges[i] for i in subset])
-            if is_2v_strongly_biconnected(sub):
-                expect = sub
-                break
-        assert exact_min_2vsb(BK4).witness == expect
+        # The witness is the first feasible subset of the optimum size in
+        # index order; re-derive it by plain enumeration, on BK4 and on
+        # every generated instance with at most 5,000 such subsets.
+        cases = [(BK4, exact_min_2vsb(BK4))] + [
+            (g, exact) for g, exact in small_instance_suite(20, seed=0)
+            if math.comb(g.m, exact.opt_size) <= 5_000
+        ]
+        assert len(cases) > 1
+        for g, exact in cases:
+            for subset in itertools.combinations(range(g.m), exact.opt_size):
+                sub = build(g.n, [g.edges[i] for i in subset])
+                if is_2v_strongly_biconnected(sub):
+                    break
+            assert exact.witness == sub
 
 
 class TestSmallInstanceSuite:
