@@ -116,10 +116,11 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
 def _repair(g: DiGraph, und, v: int) -> Edge:
     """The first edge of g bridging two strongly biconnected components of
     gplus - v: its ends are not adjacent in ``und`` (gplus's underlying
-    adjacency) and not joined by two disjoint paths avoiding v."""
+    adjacency) and not joined by two disjoint paths in ``und`` minus v."""
+    rest = [[] if u == v else [y for y in a if y != v] for u, a in enumerate(und)]
     for w, x in g.edges:
         if (v != w and v != x and x not in und[w]
-                and not _disjoint_paths(und, und, w, x, 2, avoid=v)):
+                and not _disjoint_paths(rest, rest, w, x, 2)):
             return w, x
     raise RepairLoopStalled(
         f"no candidate edge separates components around vertex {v}"

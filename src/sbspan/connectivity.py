@@ -2,9 +2,12 @@
 
 Covers strong connectivity, biconnectivity of the underlying undirected
 graph, strong biconnectivity (both at once), the 2-vertex variants obtained
-by requiring the property to survive every single-vertex deletion, strong
-articulation points by definition, b-articulation points, and the
-strongly-biconnected-component co-membership test.
+by requiring the property to survive every single-vertex deletion, and
+b-articulation points.  The reference routines that the tests hold the fast
+paths against follow their definitions through ``_reached``, the one
+reachability DFS, with no lowpoint DFS or flow: ``scc`` by mutual
+reachability, strong articulation points by deleting each vertex, and
+strongly-biconnected-component co-membership (``same_sbcc``) by Menger.
 
 Every public predicate is a pure function of an immutable graph and unwraps
 an underscore core over ``(n, out_adj, in_adj)`` adjacency, which also
@@ -45,36 +48,29 @@ from .graph import DiGraph
 # ---- traversal cores --------------------------------------------------------
 
 
-def _reach_count(adj, n: int, start: int, skip: int | None) -> int:
-    """Number of vertices reachable from start, treating skip as absent."""
+def _reached(adj, n: int, start: int, skip: int | None = None) -> bytearray:
+    """Marks of the vertices reachable from start, treating skip as absent;
+    skip itself is marked too."""
     seen = bytearray(n)
     seen[start] = 1
     if skip is not None:
         seen[skip] = 1
-    count = 1
     stack = [start]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if not seen[w]:
                 seen[w] = 1
-                count += 1
                 stack.append(w)
-    return count
+    return seen
 
 
 def _strongly_connected(out_adj, in_adj, n: int, skip: int | None = None) -> bool:
     """Forward and backward reachability from one vertex covers everything."""
-    n_eff = n if skip is None else n - 1
-    if n_eff <= 1:
+    if n - (skip is not None) <= 1:
         return True
-    start = 0
-    while start == skip:
-        start += 1
-    return (
-        _reach_count(out_adj, n, start, skip) == n_eff
-        and _reach_count(in_adj, n, start, skip) == n_eff
-    )
+    start = 1 if skip == 0 else 0
+    return (_reached(out_adj, n, start, skip).count(1) == n
+            and _reached(in_adj, n, start, skip).count(1) == n)
 
 
 def _biconnected(adj, n: int, skip: int | None = None) -> bool:
@@ -155,13 +151,13 @@ def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
 
 
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
-                    undirected: bool = False, avoid: int | None = None) -> bool:
+                    undirected: bool = False) -> bool:
     """True iff there are at least k internally vertex-disjoint s->t paths.
 
     With ``undirected`` the underlying graph is searched: x's neighbours are
-    ``out_adj[x]`` plus ``in_adj[x]``.  Paths never pass through ``avoid``.
-    Requires s != t and no edge s->t (in underlying mode, s and t not
-    adjacent), so that every path has an internal vertex.
+    ``out_adj[x]`` plus ``in_adj[x]``.  Requires s != t and no edge s->t (in
+    underlying mode, s and t not adjacent), so that every path has an
+    internal vertex.
 
     A unit-capacity max flow that grows one path at a time; ``prv`` maps
     each internal vertex on a path to its predecessor there.  A degree floor
@@ -181,21 +177,21 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
             return False
     prv: dict[int, int] = {}
     for _ in range(k):
-        if not (_free_path(fwd, bwd, s, t, prv, avoid)
-                or _reroute(fwd, s, t, prv, avoid)):
+        if not (_free_path(fwd, bwd, s, t, prv)
+                or _reroute(fwd, s, t, prv)):
             return False
         del prv[t]  # both steps record t's; a later search must enter t
     return True
 
 
-def _free_path(fwd, bwd, s: int, t: int, prv: dict, avoid) -> bool:
+def _free_path(fwd, bwd, s: int, t: int, prv: dict) -> bool:
     """Add to ``prv`` an s->t path through vertices that no path uses.
 
     A bidirectional BFS (Pohl 1971) expanding the smaller frontier by one
-    level; both searches start with ``avoid`` marked reached.  Such a path
-    is always an augmenting path of the flow; False only means there is none.
+    level.  Such a path is always an augmenting path of the flow; False only
+    means there is none.
     """
-    fpar, bpar = {avoid: s, s: s}, {avoid: t, t: t}
+    fpar, bpar = {s: s}, {t: t}
     ffront, bfront = [s], [t]
     meet = None
     while meet is None:
@@ -232,7 +228,7 @@ def _bfs_level(front, adjs, par, other, blocked):
     return nxt, None
 
 
-def _reroute(adjs, s: int, t: int, prv: dict, avoid) -> bool:
+def _reroute(adjs, s: int, t: int, prv: dict) -> bool:
     """Add one path to the flow ``prv`` by a BFS over the residual
     vertex-split graph, rerouting earlier paths; False iff the flow is
     maximum.  State 2x is x's in-copy and 2x+1 its out-copy.
@@ -240,8 +236,6 @@ def _reroute(adjs, s: int, t: int, prv: dict, avoid) -> bool:
     par = [-1] * (2 * len(adjs[0]))
     src, target = 2 * s + 1, 2 * t
     par[src] = par[2 * s] = src  # s's in-copy is never entered
-    if avoid is not None:
-        par[2 * avoid] = src  # nor is the avoided vertex's
     queue = [src]
     for state in queue:
         x = state >> 1
@@ -311,122 +305,25 @@ def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
 
 
 def scc(g: DiGraph) -> tuple[int, ...]:
-    """SCC id per vertex (single-pass lowlink DFS, no recursion).
-
-    Ids are dense and assigned in completion order.
-    """
+    """SCC id per vertex by definition, mutual reachability; ids are dense,
+    numbered in order of each SCC's smallest vertex."""
     n = g.n
-    adj = g.out_adj
-    index = [0] * n
-    low = [0] * n
-    on_stack = bytearray(n)
     comp = [-1] * n
-    ptr = [0] * n
-    comp_stack: list[int] = []
     count = 0
-    timer = 0
-    for root in range(n):
-        if index[root]:
-            continue
-        timer += 1
-        index[root] = low[root] = timer
-        on_stack[root] = 1
-        comp_stack.append(root)
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            av = adj[v]
-            i = ptr[v]
-            if i < len(av):
-                ptr[v] = i + 1
-                w = av[i]
-                if index[w] == 0:
-                    timer += 1
-                    index[w] = low[w] = timer
-                    on_stack[w] = 1
-                    comp_stack.append(w)
-                    stack.append(w)
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = comp_stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
+    for s in range(n):
+        if comp[s] < 0:
+            fwd = _reached(g.out_adj, n, s)
+            bwd = _reached(g.in_adj, n, s)
+            for v in range(s, n):
+                if fwd[v] and bwd[v]:
+                    comp[v] = count
+            count += 1
     return tuple(comp)
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
     """True iff g has exactly one SCC; single-vertex graphs qualify."""
     return _strongly_connected(g.out_adj, g.in_adj, g.n)
-
-
-def blocks(n: int, adj) -> tuple[frozenset[int], ...]:
-    """Vertex sets of the biconnected components of an undirected graph
-    given as adjacency lists, via lowpoint DFS with an edge stack.
-
-    Isolated vertices form singleton blocks; the cut vertices are the
-    vertices that lie in two or more blocks.
-    """
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    timer = 0
-    out: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    for root in range(n):
-        if disc[root]:
-            continue
-        timer += 1
-        disc[root] = low[root] = timer
-        if not adj[root]:
-            out.append(frozenset((root,)))
-            continue
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            av = adj[v]
-            i = ptr[v]
-            if i < len(av):
-                ptr[v] = i + 1
-                w = av[i]
-                if disc[w] == 0:
-                    edge_stack.append((v, w))
-                    parent[w] = v
-                    timer += 1
-                    disc[w] = low[w] = timer
-                    stack.append(w)
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                p = parent[v]
-                if p == -1:
-                    continue
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    verts: set[int] = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (p, v):
-                            break
-                    out.append(frozenset(verts))
-    return tuple(out)
 
 
 def is_strongly_biconnected(g: DiGraph) -> bool:
@@ -479,29 +376,27 @@ def b_articulation_points(g: DiGraph) -> set[int]:
             or not _biconnected(und, n, v)}
 
 
-def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[frozenset[int]]]:
-    """SCC ids plus, per vertex, the ids of its blocks in the underlying graph
-    of the edges inside SCCs.
+def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """SCC ids plus the underlying adjacency of the edges inside SCCs.
 
-    Each connected component of that graph lies inside one SCC, so two
+    Each connected component of that underlying graph spans one SCC, so two
     vertices lie in the same strongly biconnected component exactly when
-    their SCC ids match and their block-id sets intersect.
+    their SCC ids match and they share a block of it.
     """
     comp = scc(g)
     inner = [[w for w in a if comp[w] == comp[v]]
              for v, a in enumerate(_und_adj(g.out_adj, g.in_adj))]
-    block_sets: list[set[int]] = [set() for _ in range(g.n)]
-    for i, bl in enumerate(blocks(g.n, inner)):
-        for v in bl:
-            block_sets[v].add(i)
-    return comp, [frozenset(s) for s in block_sets]
+    return comp, inner
 
 
 def same_sbcc(g: DiGraph, w: int, x: int) -> bool:
-    """True iff w and x share an SCC and a block of that SCC's underlying graph."""
+    """True iff w and x share an SCC and a block of that SCC's underlying
+    graph: by Menger's theorem, iff no third vertex separates them there
+    (adjacent vertices never are separated)."""
     if w == x:
         raise ValueError("vertices must be distinct")
     if not (0 <= w < g.n and 0 <= x < g.n):
         raise ValueError(f"vertex out of range [0, {g.n})")
-    comp, block_sets = _sbcc_comembership(g)
-    return comp[w] == comp[x] and not block_sets[w].isdisjoint(block_sets[x])
+    comp, inner = _sbcc_comembership(g)
+    return comp[w] == comp[x] and all(
+        _reached(inner, g.n, w, z)[x] for z in range(g.n) if z not in (w, x))

@@ -148,16 +148,34 @@ class TestAlgorithm1:
             algorithm1(g, precheck=False)
 
     def test_matches_definition_level_repair(self):
-        repaired = 0
-        for n in range(4, 13):
-            for seed in range(40):
-                g = generate(GenConfig(n=n, seed=seed))
-                r = algorithm1(g, precheck=False)
-                ref, trace = _definition_level_alg1(g)
-                assert r.subgraph == ref, (n, seed)
-                assert r.trace == trace, (n, seed)
-                repaired += trace.edges_added > 0
-        assert repaired >= 70
+        from collections import Counter
+
+        cases = [(("generate", n, seed), generate(GenConfig(n=n, seed=seed)))
+                 for n in range(4, 13) for seed in range(40)]
+        # Bidirected prism, Moebius ladder and squared cycle: almost every
+        # vertex of the first phase is a b-articulation point.
+        for n in range(6, 17, 2):
+            k = n // 2
+            families = {
+                "prism": [(i, (i + 1) % k) for i in range(k)]
+                + [(k + i, k + (i + 1) % k) for i in range(k)]
+                + [(i, k + i) for i in range(k)],
+                "moebius": [(i, (i + 1) % n) for i in range(n)]
+                + [(i, i + k) for i in range(k)],
+                "squared": [(i, (i + d) % n) for i in range(n) for d in (1, 2)],
+            }
+            for name, pairs in families.items():
+                edges = [e for a, b in pairs for e in ((a, b), (b, a))]
+                cases.append(((name, n), build(n, edges)))
+        repaired = Counter()
+        for case, g in cases:
+            r = algorithm1(g, precheck=False)
+            ref, trace = _definition_level_alg1(g)
+            assert r.subgraph == ref, case
+            assert r.trace == trace, case
+            repaired[case[0]] += trace.edges_added > 0
+        assert repaired["generate"] >= 70
+        assert repaired["prism"] == repaired["moebius"] == repaired["squared"] == 6
 
 
 class TestAlgorithm2:

@@ -11,7 +11,6 @@ from sbspan import (
 from sbspan.connectivity import (
     _biconnected,
     _und_adj,
-    blocks,
     same_sbcc,
     scc,
     strong_articulation_points_bruteforce,
@@ -54,18 +53,10 @@ def und(g):
     return _und_adj(g.out_adj, g.in_adj)
 
 
-def cut_vertices(bls):
-    """Vertices that lie in two or more blocks."""
-    seen, cuts = set(), set()
-    for bl in bls:
-        cuts |= seen & bl
-        seen |= bl
-    return cuts
-
-
-def components(n, adj, skip=None):
-    """Number of connected components, treating skip as absent."""
-    seen = {skip}
+def components(n, adj, gone=()):
+    """Number of connected components, treating the vertices in gone as
+    absent."""
+    seen = set(gone)
     count = 0
     for s in range(n):
         if s in seen:
@@ -133,46 +124,6 @@ class TestStronglyConnected:
         assert is_strongly_connected(build(1, []))
 
 
-class TestBlocks:
-    def test_bbowtie(self):
-        bls = blocks(BBOWTIE.n, und(BBOWTIE))
-        assert set(bls) == {frozenset({0, 1, 2}), frozenset({0, 3, 4})}
-        assert cut_vertices(bls) == {0}
-
-    def test_bk4(self):
-        bls = blocks(BK4.n, und(BK4))
-        assert bls == (frozenset({0, 1, 2, 3}),)
-        assert cut_vertices(bls) == set()
-
-    def test_chain4(self):
-        bls = blocks(CHAIN4.n, und(CHAIN4))
-        assert set(bls) == {
-            frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})
-        }
-        assert cut_vertices(bls) == {1, 2}
-
-    def test_isolated_vertices_are_singleton_blocks(self):
-        g = build(3, [(0, 1)])
-        assert set(blocks(g.n, und(g))) == {frozenset({0, 1}), frozenset({2})}
-
-    def test_structure_properties(self):
-        for seed in range(40):
-            g = random_graph(seed + 700)
-            adj = und(g)
-            bls = blocks(g.n, adj)
-            # every pair lies in exactly one block
-            for a in range(g.n):
-                for b in adj[a]:
-                    holding = [bl for bl in bls if a in bl and b in bl]
-                    assert len(holding) == 1
-            # the multi-block vertices are exactly the vertices whose
-            # deletion splits a connected component
-            whole = components(g.n, adj)
-            assert cut_vertices(bls) == {
-                v for v in range(g.n) if components(g.n, adj, v) > whole
-            }
-
-
 class TestBiconnected:
     def test_fixtures(self):
         assert _biconnected(und(C4), C4.n)
@@ -184,16 +135,21 @@ class TestBiconnected:
             assert _biconnected(und(g), g.n) == expect
 
     def test_matches_block_reading(self):
-        # n >= 3: biconnected iff connected with no cut vertex
+        # three or more vertices left, by definition: connected, and still
+        # connected without any one more vertex
+        verdicts = set()
         for seed in range(50):
             g = random_graph(seed + 40)
-            if g.n < 3:
-                continue
             adj = und(g)
-            bls = blocks(g.n, adj)
-            expect = components(g.n, adj) == 1 and not cut_vertices(bls)
-            assert _biconnected(adj, g.n) == expect
-            assert set().union(*bls) == set(range(g.n))
+            for skip in (None, *range(g.n)):
+                left = [v for v in range(g.n) if v != skip]
+                if len(left) < 3:
+                    continue
+                expect = all(components(g.n, adj, {skip, v}) == 1
+                             for v in (skip, *left))
+                assert _biconnected(adj, g.n, skip) == expect, (seed, skip)
+                verdicts.add(expect)
+        assert verdicts == {False, True}
 
 
 class TestStronglyBiconnected:
@@ -375,27 +331,31 @@ class TestSameSbcc:
                     assert same_sbcc(g, w, x) == same_sbcc(g, x, w)
 
     def test_definition(self):
-        # same SCC plus a shared block of the SCC-induced underlying graph
+        # some vertex set holding w and x induces a strongly biconnected
+        # subgraph
+        from collections import Counter
+        from itertools import combinations
+
+        def induces_sb(g, verts):
+            pos = {v: i for i, v in enumerate(verts)}
+            return is_strongly_biconnected(build(len(verts), [
+                (pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos
+            ]))
+
+        verdicts = Counter()
         for seed in range(30):
             g = random_graph(seed + 8000, max_n=8)
-            comp = scc(g)
             for w in range(g.n):
                 for x in range(w + 1, g.n):
-                    if comp[w] != comp[x]:
-                        assert not same_sbcc(g, w, x)
-                        continue
-                    members = [v for v in range(g.n)
-                               if comp[v] == comp[w]]
-                    pos = {v: i for i, v in enumerate(members)}
-                    sub = build(len(members), [
-                        (pos[a], pos[b]) for a, b in g.edges
-                        if a in pos and b in pos
-                    ])
+                    others = [v for v in range(g.n) if v not in (w, x)]
                     expect = any(
-                        pos[w] in bl and pos[x] in bl
-                        for bl in blocks(sub.n, und(sub))
+                        induces_sb(g, (w, x, *more))
+                        for size in range(len(others) + 1)
+                        for more in combinations(others, size)
                     )
-                    assert same_sbcc(g, w, x) == expect
+                    assert same_sbcc(g, w, x) == expect, (seed, w, x)
+                    verdicts[expect] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
 def _separated(adj, n, s, t, removed):
@@ -444,7 +404,7 @@ class TestDisjointPaths:
     def test_matches_min_vertex_separator(self, monkeypatch):
         # Menger: k internally disjoint paths iff no separator below k.
         from collections import Counter
-        from itertools import combinations, product
+        from itertools import combinations
 
         from sbspan.connectivity import _disjoint_paths
 
@@ -462,21 +422,18 @@ class TestDisjointPaths:
                         if s == t or t in adj[s]:
                             continue
                         rest = [x for x in range(g.n) if x not in (s, t)]
-                        # also without one vertex of the rest, picked by seed
-                        avoids = (None, rest[seed % len(rest)]) if rest else (None,)
-                        for avoid, k in product(avoids, range(1, 4)):
-                            gone = () if avoid is None else (avoid,)
+                        for k in range(1, 4):
                             expect = not any(
-                                _separated(adj, g.n, s, t, (*gone, *cut))
+                                _separated(adj, g.n, s, t, cut)
                                 for size in range(k)
                                 for cut in combinations(rest, size)
                             )
-                            args = (g.out_adj, g.in_adj, s, t, k, undirected, avoid)
+                            args = (g.out_adj, g.in_adj, s, t, k, undirected)
                             got = _disjoint_paths(*args)
-                            assert got == expect, (seed, undirected, s, t, k, avoid)
-                            verdicts[undirected, k, expect, avoid is None] += 1
-        assert all(verdicts[u, k, x, a] for u in (False, True) for k in (2, 3)
-                   for x in (False, True) for a in (False, True))
+                            assert got == expect, (seed, undirected, s, t, k)
+                            verdicts[undirected, k, expect] += 1
+        assert all(verdicts[u, k, x] for u in (False, True) for k in (2, 3)
+                   for x in (False, True))
         # the residual step both found a rerouted path and proved a maximum
         assert reroutes[True] and reroutes[False]
 
