@@ -168,11 +168,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     status = 0
     if args.subgraph:
         sub = _load_graph(args.subgraph)
-        subset = sub.n == g.n and sub.edge_set <= g.edge_set
+        subset, spanning = sub.edge_set <= g.edge_set, sub.n == g.n
         print(f"subgraph_subset: {'pass' if subset else 'fail'}")
-        if not subset:
+        print(f"subgraph_spanning: {'pass' if spanning else 'fail'}")
+        if not (subset and spanning):
             return 1
-        print("subgraph_spanning: pass")
         feasible = is_2v_strongly_biconnected(sub)
         print(f"subgraph_feasible: {str(feasible).lower()}")
         if not feasible:

@@ -82,38 +82,28 @@ def _biconnected(adj, n: int, skip: int | None = None) -> bool:
     n_eff = n if skip is None else n - 1
     if n_eff <= 1:
         return True
-    root = 0
-    while root == skip:
-        root += 1
+    root = 1 if skip == 0 else 0
     disc = [0] * n
     low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
     disc[root] = low[root] = 1
-    timer = 1
-    visited = 1
+    timer = 1  # also the number of vertices visited
     root_children = 0
-    stack = [root]
+    # Each entry (v, parent, it) resumes v's own adjacency iterator.
+    stack = [(root, -1, iter(adj[root]))]
     while stack:
-        v = stack[-1]
-        av = adj[v]
-        i = ptr[v]
-        if i < len(av):
-            ptr[v] = i + 1
-            w = av[i]
+        v, p, it = stack[-1]
+        for w in it:
             if w == skip:
                 continue
             if disc[w] == 0:
-                parent[w] = v
                 timer += 1
                 disc[w] = low[w] = timer
-                visited += 1
-                stack.append(w)
-            elif w != parent[v] and disc[w] < low[v]:
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != p and disc[w] < low[v]:
                 low[v] = disc[w]
         else:
             stack.pop()
-            p = parent[v]
             if p == -1:
                 continue
             if low[v] < low[p]:
@@ -122,7 +112,7 @@ def _biconnected(adj, n: int, skip: int | None = None) -> bool:
                 root_children += 1
             elif low[v] >= disc[p]:
                 return False
-    return visited == n_eff and root_children < 2
+    return timer == n_eff and root_children < 2
 
 
 def _und_adj(out_adj, in_adj) -> list[list[int]]:
@@ -136,6 +126,7 @@ def _is_2vc(n: int, out_adj, in_adj) -> bool:
     one pair of dominator trees."""
     if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
         return False
+    # imported here: dominators imports _strongly_connected from this module
     from .dominators import _strong_articulation_points
 
     return _strong_articulation_points(n, out_adj, in_adj) == set()

@@ -26,22 +26,18 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
     n = len(succ)
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
-    # DFS postorder from the root.
-    ptr = [0] * n
+    # DFS postorder from the root; each entry resumes its vertex's iterator.
     seen = bytearray(n)
     seen[root] = 1
     postorder: list[int] = []
-    stack = [root]
+    stack = [(root, iter(succ[root]))]
     while stack:
-        v = stack[-1]
-        av = succ[v]
-        i = ptr[v]
-        if i < len(av):
-            ptr[v] = i + 1
-            w = av[i]
+        v, it = stack[-1]
+        for w in it:
             if not seen[w]:
                 seen[w] = 1
-                stack.append(w)
+                stack.append((w, iter(succ[w])))
+                break
         else:
             stack.pop()
             postorder.append(v)

@@ -202,6 +202,16 @@ class TestCheck:
         assert main(["check", "--in", gpath, "--subgraph", spath]) != 0
         assert "subgraph_subset: fail" in capsys.readouterr().out
 
+    def test_subgraph_not_spanning(self, tmp_path, capsys):
+        from sbspan import build
+
+        gpath = write_graph(tmp_path, "c4.txt", C4)
+        spath = write_graph(tmp_path, "empty5.txt", build(5, []))
+        assert main(["check", "--in", gpath, "--subgraph", spath]) == 1
+        out = capsys.readouterr().out
+        assert "subgraph_subset: pass" in out
+        assert "subgraph_spanning: fail" in out
+
     def test_exact(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bk4.txt", BK4)
         assert main(["check", "--in", path, "--exact"]) == 0

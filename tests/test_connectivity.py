@@ -15,6 +15,7 @@ from sbspan.connectivity import (
     scc,
     strong_articulation_points_bruteforce,
 )
+from sbspan.dominators import dominator_tree
 from sbspan.generator import rng_below
 from sbspan.graph import delete_edge, delete_vertex
 from fixtures import BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8
@@ -137,9 +138,23 @@ class TestBiconnected:
     def test_matches_block_reading(self):
         # three or more vertices left, by definition: connected, and still
         # connected without any one more vertex
+        cases = [(seed, random_graph(seed + 40)) for seed in range(50)]
+        # Bidirected prism, Moebius ladder and squared cycle
+        for n in range(6, 17, 2):
+            k = n // 2
+            families = {
+                "prism": [(i, (i + 1) % k) for i in range(k)]
+                + [(k + i, k + (i + 1) % k) for i in range(k)]
+                + [(i, k + i) for i in range(k)],
+                "moebius": [(i, (i + 1) % n) for i in range(n)]
+                + [(i, i + k) for i in range(k)],
+                "squared": [(i, (i + d) % n) for i in range(n) for d in (1, 2)],
+            }
+            for name, pairs in families.items():
+                edges = [e for a, b in pairs for e in ((a, b), (b, a))]
+                cases.append(((name, n), build(n, edges)))
         verdicts = set()
-        for seed in range(50):
-            g = random_graph(seed + 40)
+        for case, g in cases:
             adj = und(g)
             for skip in (None, *range(g.n)):
                 left = [v for v in range(g.n) if v != skip]
@@ -147,9 +162,29 @@ class TestBiconnected:
                     continue
                 expect = all(components(g.n, adj, {skip, v}) == 1
                              for v in (skip, *left))
-                assert _biconnected(adj, g.n, skip) == expect, (seed, skip)
+                assert _biconnected(adj, g.n, skip) == expect, (case, skip)
                 verdicts.add(expect)
         assert verdicts == {False, True}
+
+    def test_deep_known_answers(self):
+        # n far above the recursion limit: every walk must be iterative
+        n, half = 5000, 2500
+        cycle = build(n, [(i, (i + 1) % n) for i in range(n)])
+        adj = und(cycle)
+        assert _biconnected(adj, n)
+        for skip in (0, half):  # a path is left
+            assert not _biconnected(adj, n, skip)
+        # two directed cycles through vertex 0, a figure eight
+        eight = build(n, [(i, (i + 1) % half) for i in range(half)]
+                      + [(0, half)]
+                      + [(i, i + 1) for i in range(half, n - 1)]
+                      + [(n - 1, 0)])
+        for skip in (None, 0, 3):
+            assert not _biconnected(und(eight), n, skip)
+        assert dominator_tree(cycle.out_adj, cycle.in_adj, 0) == (
+            None, *range(n - 1))
+        assert dominator_tree(cycle.in_adj, cycle.out_adj, 0) == (
+            None, *range(2, n), 0)
 
 
 class TestStronglyBiconnected:
