@@ -210,9 +210,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         records = []
         for n in sizes:
             for seed in seeds:
+                t0 = time.perf_counter()
                 g = generate(GenConfig(n=n, seed=seed))
+                gen_s = round(time.perf_counter() - t0, 6)
                 print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
-                records += [_solve(g, alg, args.reps, seed=seed)[1]
+                records += [_solve(g, alg, args.reps, seed=seed, gen_s=gen_s)[1]
                             for alg in algorithms]
         csv_file.write("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
         if json_file:

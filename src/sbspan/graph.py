@@ -115,19 +115,19 @@ def delete_vertex(g: DiGraph, v: int) -> tuple[DiGraph, dict[int, int]]:
 def parse(text: str) -> DiGraph:
     """Parse the canonical text format.
 
-    Lines starting with '#' are comments and may appear anywhere.  The
-    first data line is "n m" with 1 <= n <= MAX_VERTICES; exactly m data
-    lines "u v" follow.  Each field is a run of ASCII digits; fields are
-    separated by any whitespace.  Raises ParseError with the offending line
-    number.
+    Lines starting with '#' are comments, and blank or whitespace-only
+    lines are ignored; both may appear anywhere.  The first data line is
+    "n m" with 1 <= n <= MAX_VERTICES; exactly m data lines "u v" follow.
+    Each field is a run of ASCII digits; fields are separated by any
+    whitespace.  Raises ParseError with the offending line number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            continue
         parts = raw.split()
+        if not parts or raw.startswith("#"):
+            continue
         if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
             raise ParseError(line_no, f"expected two decimal integers, got {raw!r}")
         a, b = int(parts[0]), int(parts[1])

@@ -289,6 +289,7 @@ class TestBench:
             assert (r["n"], r["m"], r["alg"], r["edges_out"]) == (
                 int(n), int(m), alg, int(edges_out))
             assert r["elapsed_s"] >= 0 and r["verify_s"] >= 0 and r["feasible"]
+            assert r["gen_s"] >= 0
 
     def test_empty_algs_usage_error(self, tmp_path, capsys):
         rc = main(["bench", "--sizes", "10", "--seeds", "1", "--algs", " ",

@@ -303,6 +303,111 @@ class TestTwoVertexStronglyBiconnected:
             assert g.m >= 2 * g.n
 
 
+def three_connected(adj, n):
+    """The ungated underlying half: biconnected after deleting any vertex."""
+    return all(_biconnected(adj, n, v) for v in range(n))
+
+
+def bidirected(n, pairs):
+    return build(n, [e for a, b in pairs for e in ((a, b), (b, a))])
+
+
+def passes_gate(g):
+    """More underlying pairs than twice the certificate's 3(n-1)."""
+    return sum(map(len, und(g))) > 12 * (g.n - 1)
+
+
+class TestCertificate:
+    def test_matches_full_graph(self):
+        from sbspan.connectivity import _certificate
+
+        kinds = {"disconnected": 0, "cut vertex": 0, "separation pair": 0,
+                 "3-connected": 0}
+        for seed in range(1500):
+            rng, n = rng_below(seed + 9000, 11)
+            n += 4
+            rng, percent = rng_below(rng, 76)
+            adj = [[] for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    rng, r = rng_below(rng, 100)
+                    if r < 20 + percent:
+                        adj[u].append(v)
+                        adj[v].append(u)
+            cert = _certificate(adj, n)
+            pairs = [(v, w) for v in range(n) for w in cert[v]]
+            assert len(pairs) == len(set(pairs)) <= 6 * (n - 1)
+            assert all(w in adj[v] and v in cert[w] for v, w in pairs)
+            expect = three_connected(adj, n)
+            assert three_connected(cert, n) == expect, seed
+            if expect:
+                kinds["3-connected"] += 1
+            elif components(n, adj) > 1:
+                kinds["disconnected"] += 1
+            elif not _biconnected(adj, n):
+                kinds["cut vertex"] += 1
+            else:
+                kinds["separation pair"] += 1
+        # 734 3-connected, 240 separation pair, 285 cut vertex,
+        # 241 disconnected
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_known_answers(self):
+        from itertools import combinations
+
+        from sbspan.connectivity import _certificate, _two_vsb_violation
+
+        k14 = bidirected(14, combinations(range(14), 2))
+        # two K12 sharing vertices 10 and 11: 2VC, separated by {10, 11}
+        glued = bidirected(22, {*combinations(range(12), 2),
+                                *combinations(range(10, 22), 2)})
+        # vertex 0 keeps only neighbours 1 and 2
+        cut = bidirected(14, [(a, b) for a, b in combinations(range(14), 2)
+                              if a > 0 or b < 3])
+        for g, feasible in ((k14, True), (glued, False), (cut, False)):
+            assert passes_gate(g)
+            assert is_2vertex_connected(g)
+            assert three_connected(_certificate(und(g), g.n), g.n) == feasible
+            assert _two_vsb_violation(g.n, g.out_adj, g.in_adj) == (not feasible)
+        assert glued.m == 2 * 131
+
+    def test_gated_equals_ungated(self):
+        from collections import Counter
+
+        from sbspan.connectivity import _is_2vc, _two_vsb_violation
+
+        undirected_verdicts, gated = Counter(), 0
+        for seed in range(300):
+            rng, n = rng_below(seed + 5000, 12)
+            n += 13
+            rng, percent = rng_below(rng, 21)
+            edges = []
+            for u in range(n):
+                for v in range(n):
+                    rng, r = rng_below(rng, 100)
+                    if u != v and r < 75 + percent:
+                        edges.append((u, v))
+            # cut one vertex down to 2 or 3 bidirected neighbours, or not
+            rng, keep = rng_below(rng, 3)
+            if keep:
+                x, near = n - 1, range(keep + 1)
+                edges = [(u, v) for u, v in edges if x not in (u, v)]
+                edges += [e for w in near for e in ((x, w), (w, x))]
+            g = build(n, edges)
+            if not passes_gate(g):
+                continue
+            gated += 1
+            adj = und(g)
+            directed = _is_2vc(n, g.out_adj, g.in_adj)
+            undirected = three_connected(adj, n)
+            assert _two_vsb_violation(n, g.out_adj, g.in_adj) == (
+                not (directed and undirected)), seed
+            undirected_verdicts[undirected] += directed
+        # 280 pass the gate, all 2VC: 197 underlying 3-connected, 83 not
+        assert gated >= 250
+        assert min(undirected_verdicts[False], undirected_verdicts[True]) >= 50
+
+
 class TestBArticulationPoints:
     def test_fixtures(self):
         assert b_articulation_points(BK4) == set()

@@ -153,6 +153,18 @@ class TestTextFormat:
     def test_comments_skipped(self):
         assert parse("# a comment\n4 4\n0 1\n# another\n1 2\n2 3\n3 0\n") == C4
 
+    @pytest.mark.parametrize("text", [
+        "4 4\n0 1\n1 2\n2 3\n3 0\n\n",
+        "4 4\n0 1\n1 2\n\n2 3\n3 0\n",
+        "4 4\n0 1\n \t\n1 2\n2 3\n3 0\n",
+    ], ids=["trailing-blank", "blank-between-edges", "whitespace-only"])
+    def test_blank_lines_skipped(self, text):
+        assert parse(text) == C4
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(ParseError, match="line 4: self-loop"):
+            parse("3 2\n\n0 1\n1 1\n")
+
     def test_serialize_c4(self):
         assert serialize(C4) == "4 4\n0 1\n1 2\n2 3\n3 0\n"
 
