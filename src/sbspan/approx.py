@@ -24,6 +24,7 @@ from .connectivity import (
     _disjoint_paths,
     _keeps_2vc,
     _keeps_2vsb,
+    _three_connected,
     _und_adj,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
@@ -139,10 +140,12 @@ def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     gplus = minimal_2vcss(g)
     # gplus is 2-vertex connected and only gains edges, so gplus - v stays
     # strongly connected: v is a b-articulation point exactly while the
-    # underlying graph minus v is not biconnected.
+    # underlying graph minus v is not biconnected, and there is none when
+    # that graph is 3-connected.
     n = gplus.n
     und = _und_adj(gplus.out_adj, gplus.in_adj)
-    bap = frozenset(v for v in range(n) if not _biconnected(und, n, v))
+    bap = frozenset() if _three_connected(und, n) else frozenset(
+        v for v in range(n) if not _biconnected(und, n, v))
     added: list[Edge] = []
     for v in sorted(bap):
         while not _biconnected(und, n, v):

@@ -28,15 +28,21 @@ candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
 internally vertex-disjoint paths between the edge's endpoints (Menger's
 theorem), which is exact when the graph was feasible before the deletion.
 
-On a dense underlying graph, ``_two_vsb_violation`` runs its n per-vertex
-DFSs on a sparse certificate (``_certificate``): 3 scan-first forests, at
-most 3(n-1) pairs, 3-vertex connected iff the graph is.  The gate is twice
-that size, more than 6(n-1) pairs, because at the plain bound building the
-certificate outweighed its savings on small generated graphs: the
-underlying half took 1.1-1.6x as long at n=8..12 and broke even near n=20.
-No simple graph with n <= 12 passes the gate, and neither does a sparse
-output, so those are searched as they are.  Every other caller keeps the
-full graph.
+The underlying half, ``_three_connected``, is Hopcroft & Tarjan's (1973)
+separation-pair search with Gutwenger & Mutzel's (2001) corrections, O(n+m):
+a degree check (3 at least) and a lowpoint DFS that rejects a disconnected
+graph or a cut vertex; a bucket sort of each vertex's arcs by Hopcroft &
+Tarjan's phi; a DFS that renumbers the vertices in that order and finds
+each vertex's first incoming frond; and the path search, which stacks
+candidate type-2 pairs behind end-of-stack markers and stops at the first
+type-1 or type-2 separation pair.  It requires a simple graph, which
+``_und_adj`` gives by merging antiparallel edges; with minimum degree 3 that
+rules out, before the first pair, the degree-2 vertices and doubled edges
+that Gutwenger & Mutzel's extra branches handle.  The per-vertex form, one
+``_biconnected`` DFS per deleted vertex, remains where the separating
+vertices themselves are wanted: algorithm 1's b-articulation points of a
+first-phase subgraph that is not 3-connected, and ``b_articulation_points``
+of a graph that is not 2VSB.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
 cheap in the common cases.  A degree floor rejects first, in O(deg): k
@@ -142,52 +148,181 @@ def _is_2vc(n: int, out_adj, in_adj) -> bool:
     return _strong_articulation_points(n, out_adj, in_adj) == set()
 
 
-def _certificate(und, n: int) -> list[list[int]]:
-    """A sparse certificate for 3-vertex connectivity of the undirected
-    graph ``und``: the union of 3 scan-first (BFS) forests, each grown on
-    the pairs that the earlier forests left (Cheriyan, Kao & Thurimella
-    1993; Nagamochi & Ibaraki 1992).
+def _three_connected(und, n: int) -> bool:
+    """True iff the undirected graph ``und`` is 3-vertex connected: n >= 4,
+    and connected after deleting any one or two vertices.
 
-    It has at most 3(n-1) pairs and is 3-vertex connected iff ``und`` is.
-    Only that yes/no verdict carries over: a vertex pair may separate the
-    certificate without separating ``und``.
+    Requires a simple graph (no loops, no repeated pairs), as ``_und_adj``
+    gives.  Hopcroft & Tarjan's (1973) separation-pair search with Gutwenger
+    & Mutzel's (2001) corrections, stopped at the first pair: O(n+m), and
+    iterative, since n can reach ``MAX_VERTICES``.  See the module
+    docstring for the steps.
     """
-    rest = [dict.fromkeys(a) for a in und]
-    cert: list[list[int]] = [[] for _ in range(n)]
-    for _ in range(3):
-        seen = bytearray(n)
-        for root in range(n):
-            if seen[root]:
+    if n < 4 or min(map(len, und)) < 3:
+        return False
+    # First DFS, from vertex 0: preorder numbers from 1, tree parents,
+    # descendant counts and lowpt1/lowpt2, the two lowest numbers reached
+    # from a subtree by a frond (a non-tree edge, always to an ancestor).
+    num = [0] * n
+    par = [-1] * n
+    nd = [1] * n
+    kids = [0] * n  # tree arcs out of v
+    low1 = [0] * n
+    low2 = [0] * n
+    num[0] = low1[0] = low2[0] = visited = 1
+    stack = [(0, iter(und[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            x = num[w]
+            if not x:
+                visited += 1
+                num[w] = low1[w] = low2[w] = visited
+                par[w] = v
+                kids[v] += 1
+                stack.append((w, iter(und[w])))
+                break
+            # a frond v -> w; from a descendant, x > num[v] >= low2[v]
+            # changes nothing
+            if w != par[v]:
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            p = par[v]
+            if p < 0:
                 continue
-            seen[root] = 1
-            queue = [root]
-            for v in queue:
-                tree = [w for w in rest[v] if not seen[w]]
-                for w in tree:
-                    seen[w] = 1
-                    del rest[v][w], rest[w][v]
-                    cert[w].append(v)
-                cert[v] += tree
-                queue += tree
-    return cert
+            nd[p] += nd[v]
+            a, b = low1[v], low2[v]
+            if a < low1[p]:
+                low1[p], low2[p] = a, min(low1[p], b)
+            elif a == low1[p]:
+                low2[p] = min(low2[p], b)
+            elif a < low2[p]:
+                low2[p] = a
+            if p and a >= num[p]:  # p is a cut vertex
+                return False
+    if visited < n or kids[0] > 1:  # disconnected, or a cut root
+        return False
+    # Bucket-sort each vertex's arcs by phi: a tree arc v -> w at
+    # 3 lowpt1(w), or 3 lowpt1(w) + 2 if lowpt2(w) >= v; a frond v -> w at
+    # 3 w + 1.
+    buckets = [[] for _ in range(3 * n + 3)]
+    for v in range(n):
+        nv, pv = num[v], par[v]
+        for w in und[v]:
+            if par[w] == v:
+                buckets[3 * low1[w] + 2 * (low2[w] >= nv)].append((v, w))
+            elif num[w] < nv and w != pv:
+                buckets[3 * num[w] + 1].append((v, w))
+    arcs = [[] for _ in range(n)]
+    for bucket in buckets:
+        for v, w in bucket:
+            arcs[v].append(w)
+    # Renumbering DFS over the sorted arcs: v's subtree takes the numbers
+    # new[v] .. new[v] + nd[v] - 1, earlier children the higher ones.
+    # high[w] is the new number of the first frond source into w it meets.
+    new = [0] * n
+    high = [0] * n
+    new[0] = 1
+    m = n
+    stack = [(0, iter(arcs[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if par[w] == v:
+                new[w] = m - nd[w] + 1
+                stack.append((w, iter(arcs[w])))
+                break
+            if not high[w]:
+                high[w] = new[v]
+        else:
+            stack.pop()
+            m -= 1
+    # From here on every number is a new one: lowpoints translated, and
+    # the parent of the vertex numbered b is numbered father[b].
+    renum = [0] * (n + 1)
+    father = [0] * (n + 1)
+    for v in range(1, n):
+        renum[num[v]] = new[v]
+        father[new[v]] = new[par[v]]
+    renum[1] = 1
+    low1 = [renum[x] for x in low1]
+    low2 = [renum[x] for x in low2]
+    # Path search.  Each triple (h, a, b) on ``tstack`` proposes the type-2
+    # pair {a, b}, h the highest vertex the split-off part would hold.  An
+    # arc starts a new path unless it is the first arc of a non-root
+    # vertex; a tree arc that does pushes an end-of-stack marker ``eos``,
+    # below which nothing pops until the arc's subtree is done.  ``eos``
+    # fails every test a triple is popped or matched by.  Gutwenger &
+    # Mutzel's branches for a vertex of degree 2 and for a frond doubling a
+    # tree arc cannot fire before the first pair in a simple graph of
+    # minimum degree 3, so they are left out.
+    eos = (n + 1, 0, 0)
+    tstack = [eos]
+    stack = [(0, iter(arcs[0]))]
+    while stack:
+        v, it = stack[-1]
+        nv = new[v]
+        first = arcs[v][0]
+        for w in it:
+            starts = w != first or not v
+            if par[w] == v:
+                if starts:
+                    a = low1[w]
+                    h, b = new[w] + nd[w] - 1, nv
+                    while tstack[-1][1] > a:
+                        y, _, b = tstack.pop()
+                        h = max(h, y)
+                    tstack.append((h, a, b))
+                    tstack.append(eos)
+                kids[v] -= 1  # now the tree arcs not yet followed
+                stack.append((w, iter(arcs[w])))
+                break
+            if starts:  # a frond v -> w
+                a = new[w]
+                h = b = nv
+                if tstack[-1][1] > a:
+                    h = 0
+                    while tstack[-1][1] > a:
+                        y, _, b = tstack.pop()
+                        h = max(h, y)
+                tstack.append((h, a, b))
+        else:
+            stack.pop()
+            if not stack:
+                break
+            # back from the tree arc v -> w
+            w, v = v, stack[-1][0]
+            nv = new[v]
+            # type-2 pair {v, b}, unless b is v's child
+            while nv != 1 and tstack[-1][1] == nv:
+                if father[tstack[-1][2]] != nv:
+                    return False
+                tstack.pop()
+            # type-1 pair {lowpt1(w), v}: w's subtree hangs on those two, and
+            # more is left unless v is the root's child and w its last one
+            if low2[w] >= nv > low1[w] and (par[v] or kids[v]):
+                return False
+            if w != arcs[v][0] or not v:
+                while tstack.pop() is not eos:
+                    pass
+            # a frond into v from above h crosses the pairs of these triples
+            while True:
+                h, a, b = tstack[-1]
+                if a == nv or b == nv or high[v] <= h:
+                    break
+                tstack.pop()
+    return True
 
 
 def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
     """True unless the graph is 2-vertex strongly biconnected: 2VC plus a
-    3-vertex-connected underlying graph (see the module docstring).
-
-    The underlying half runs n ``_biconnected`` DFSs, O(n*m).  On an
-    underlying graph with more than 6(n-1) pairs, twice its certificate's
-    bound, they run on ``_certificate`` instead, O(n^2).  The gate is
-    doubled because near the plain bound the certificate's three BFS
-    passes cost more than they save on small graphs.
-    """
-    if n < 4 or not _is_2vc(n, out_adj, in_adj):
-        return True
-    und = _und_adj(out_adj, in_adj)
-    if sum(map(len, und)) > 12 * (n - 1):
-        und = _certificate(und, n)
-    return not all(_biconnected(und, n, v) for v in range(n))
+    3-vertex-connected underlying graph (see the module docstring)."""
+    return (n < 4 or not _is_2vc(n, out_adj, in_adj)
+            or not _three_connected(_und_adj(out_adj, in_adj), n))
 
 
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
@@ -410,6 +545,9 @@ def b_articulation_points(g: DiGraph) -> set[int]:
     if g.n < 2:
         raise ValueError("b-articulation points require n >= 2")
     out_adj, in_adj, n = g.out_adj, g.in_adj, g.n
+    # G - v is strongly biconnected for every v exactly when G is 2VSB
+    if not _two_vsb_violation(n, out_adj, in_adj):
+        return set()
     und = _und_adj(out_adj, in_adj)
     return {v for v in range(n)
             if not _strongly_connected(out_adj, in_adj, n, v)

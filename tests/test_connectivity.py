@@ -74,6 +74,24 @@ def components(n, adj, gone=()):
     return count
 
 
+def bidirected(n, pairs):
+    return build(n, [e for a, b in pairs for e in ((a, b), (b, a))])
+
+
+def ladder_pairs(kind, n):
+    """Vertex pairs of a prism or Moebius ladder (n even) or a squared cycle
+    on n vertices; each is 3-connected for n >= 6."""
+    k = n // 2
+    if kind == "prism":
+        return ([(i, (i + 1) % k) for i in range(k)]
+                + [(k + i, k + (i + 1) % k) for i in range(k)]
+                + [(i, k + i) for i in range(k)])
+    if kind == "moebius":
+        return ([(i, (i + 1) % n) for i in range(n)]
+                + [(i, i + k) for i in range(k)])
+    return [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+
+
 class TestScc:
     def test_fixture_counts(self):
         assert len(set(scc(C4))) == 1
@@ -139,20 +157,9 @@ class TestBiconnected:
         # three or more vertices left, by definition: connected, and still
         # connected without any one more vertex
         cases = [(seed, random_graph(seed + 40)) for seed in range(50)]
-        # Bidirected prism, Moebius ladder and squared cycle
         for n in range(6, 17, 2):
-            k = n // 2
-            families = {
-                "prism": [(i, (i + 1) % k) for i in range(k)]
-                + [(k + i, k + (i + 1) % k) for i in range(k)]
-                + [(i, k + i) for i in range(k)],
-                "moebius": [(i, (i + 1) % n) for i in range(n)]
-                + [(i, i + k) for i in range(k)],
-                "squared": [(i, (i + d) % n) for i in range(n) for d in (1, 2)],
-            }
-            for name, pairs in families.items():
-                edges = [e for a, b in pairs for e in ((a, b), (b, a))]
-                cases.append(((name, n), build(n, edges)))
+            for kind in ("prism", "moebius", "squared"):
+                cases.append(((kind, n), bidirected(n, ladder_pairs(kind, n))))
         verdicts = set()
         for case, g in cases:
             adj = und(g)
@@ -304,58 +311,144 @@ class TestTwoVertexStronglyBiconnected:
 
 
 def three_connected(adj, n):
-    """The ungated underlying half: biconnected after deleting any vertex."""
+    """The per-vertex definition of the underlying half: biconnected after
+    deleting any one vertex."""
     return all(_biconnected(adj, n, v) for v in range(n))
 
 
-def bidirected(n, pairs):
-    return build(n, [e for a, b in pairs for e in ((a, b), (b, a))])
+def relabeled(n, pairs, rnd):
+    """Adjacency lists of the pairs after a random relabeling, each list in
+    random order, so that the DFS root and arc order vary."""
+    label = list(range(n))
+    rnd.shuffle(label)
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[label[a]].append(label[b])
+        adj[label[b]].append(label[a])
+    for a in adj:
+        rnd.shuffle(a)
+    return adj
 
 
-def passes_gate(g):
-    """More underlying pairs than twice the certificate's 3(n-1)."""
-    return sum(map(len, und(g))) > 12 * (g.n - 1)
+def kind_of(adj, n, verdict):
+    """Why adj, given the definition's verdict, is 3-connected or not."""
+    if verdict:
+        return "3-connected"
+    if components(n, adj) > 1:
+        return "disconnected"
+    if not _biconnected(adj, n):
+        return "cut vertex"
+    # only the path search can answer these
+    if min(map(len, adj)) >= 3:
+        return "separation pair, degree >= 3"
+    return "separation pair"
 
 
-class TestCertificate:
-    def test_matches_full_graph(self):
-        from sbspan.connectivity import _certificate
+class TestThreeConnected:
+    """``_three_connected`` against the per-vertex definition."""
 
-        kinds = {"disconnected": 0, "cut vertex": 0, "separation pair": 0,
-                 "3-connected": 0}
-        for seed in range(1500):
-            rng, n = rng_below(seed + 9000, 11)
-            n += 4
-            rng, percent = rng_below(rng, 76)
-            adj = [[] for _ in range(n)]
-            for u in range(n):
-                for v in range(u + 1, n):
-                    rng, r = rng_below(rng, 100)
-                    if r < 20 + percent:
-                        adj[u].append(v)
-                        adj[v].append(u)
-            cert = _certificate(adj, n)
-            pairs = [(v, w) for v in range(n) for w in cert[v]]
-            assert len(pairs) == len(set(pairs)) <= 6 * (n - 1)
-            assert all(w in adj[v] and v in cert[w] for v, w in pairs)
+    def _check(self, cases):
+        from collections import Counter
+
+        from sbspan.connectivity import _three_connected
+
+        kinds = Counter()
+        for case, n, adj in cases:
             expect = three_connected(adj, n)
-            assert three_connected(cert, n) == expect, seed
-            if expect:
-                kinds["3-connected"] += 1
-            elif components(n, adj) > 1:
-                kinds["disconnected"] += 1
-            elif not _biconnected(adj, n):
-                kinds["cut vertex"] += 1
-            else:
-                kinds["separation pair"] += 1
-        # 734 3-connected, 240 separation pair, 285 cut vertex,
-        # 241 disconnected
-        assert min(kinds.values()) >= 200, kinds
+            assert _three_connected(adj, n) == expect, case
+            kinds[kind_of(adj, n, expect)] += 1
+        return kinds
+
+    def test_random_graphs(self):
+        def cases():
+            for seed in range(1500):
+                rng, n = rng_below(seed + 9000, 11)
+                n += 4
+                rng, percent = rng_below(rng, 76)
+                adj = [[] for _ in range(n)]
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        rng, r = rng_below(rng, 100)
+                        if r < 20 + percent:
+                            adj[u].append(v)
+                            adj[v].append(u)
+                yield seed, n, adj
+
+        kinds = self._check(cases())
+        # 734 3-connected, 285 cut vertex, 241 disconnected, 240 with a
+        # separation pair (each with a vertex of degree 2 or less)
+        assert min(kinds["3-connected"], kinds["cut vertex"],
+                   kinds["disconnected"], kinds["separation pair"]) >= 200, kinds
+
+    def test_two_sums(self):
+        # 2 to 6 pieces glued on vertex pairs, plus up to 3 chords: a glued
+        # pair separates unless a chord crosses it.  These are the type-2
+        # cases.  Keep the set large: without the type-1 check's clause on
+        # unvisited tree arcs, 13 of these 3,000 verdicts change, and no
+        # other test's.
+        import random
+
+        def piece(rnd):
+            kind = rnd.choice(("prism", "moebius", "squared", "dense"))
+            if kind != "dense":
+                n = rnd.randrange(6, 14, 2)
+                return n, ladder_pairs(kind, n)
+            n = rnd.randint(4, 8)
+            return n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if rnd.random() < 0.7]
+
+        def cases():
+            rnd = random.Random(14)
+            for i in range(3000):
+                n, pairs = piece(rnd)
+                pairs = set(pairs)
+                for _ in range(rnd.randint(1, 5)):
+                    k, more = piece(rnd)
+                    glue = [*rnd.sample(range(n), 2), *range(n, n + k - 2)]
+                    pairs |= {(glue[a], glue[b]) for a, b in more}
+                    n += k - 2
+                for _ in range(rnd.randint(0, 3)):
+                    pairs.add(tuple(rnd.sample(range(n), 2)))
+                pairs = {tuple(sorted(e)) for e in pairs}
+                yield i, n, relabeled(n, pairs, rnd)
+
+        kinds = self._check(cases())
+        # 1,447 biconnected, of minimum degree 3, not 3-connected; 542
+        # 3-connected
+        assert kinds["separation pair, degree >= 3"] >= 1000, kinds
+        assert kinds["3-connected"] >= 300, kinds
+
+    def test_ladders_and_squared_cycles(self):
+        import random
+
+        rnd = random.Random(6)
+        kinds = self._check(
+            ((kind, n), n, relabeled(n, ladder_pairs(kind, n), rnd))
+            for n in range(6, 81)
+            for kind in ("prism", "moebius", "squared")
+            if kind == "squared" or n % 2 == 0)
+        assert kinds == {"3-connected": 75 + 2 * 38}
+
+    def test_single_edge_deletions_of_generated(self):
+        from sbspan import GenConfig, generate
+
+        def cases():
+            for n in range(4, 16):
+                for seed in range(30):
+                    g = generate(GenConfig(n=n, seed=seed))
+                    yield (n, seed), n, und(g)
+                    for e in g.edges:
+                        yield (n, seed, e), n, _und_adj(*_deleted_lists(g, e))
+
+        kinds = self._check(cases())
+        # 14,622 3-connected, 123 not
+        assert kinds["3-connected"] >= 10000
+        assert kinds["separation pair"] >= 100, kinds
 
     def test_known_answers(self):
         from itertools import combinations
 
-        from sbspan.connectivity import _certificate, _two_vsb_violation
+        from sbspan.connectivity import _three_connected, _two_vsb_violation
 
         k14 = bidirected(14, combinations(range(14), 2))
         # two K12 sharing vertices 10 and 11: 2VC, separated by {10, 11}
@@ -365,18 +458,36 @@ class TestCertificate:
         cut = bidirected(14, [(a, b) for a, b in combinations(range(14), 2)
                               if a > 0 or b < 3])
         for g, feasible in ((k14, True), (glued, False), (cut, False)):
-            assert passes_gate(g)
             assert is_2vertex_connected(g)
-            assert three_connected(_certificate(und(g), g.n), g.n) == feasible
+            assert three_connected(und(g), g.n) == feasible
+            assert _three_connected(und(g), g.n) == feasible
             assert _two_vsb_violation(g.n, g.out_adj, g.in_adj) == (not feasible)
         assert glued.m == 2 * 131
 
-    def test_gated_equals_ungated(self):
+    def test_deep_known_answers(self):
+        # n far above the recursion limit: every walk must be iterative
+        from sbspan.connectivity import _three_connected
+
+        n, half = 5000, 2500
+        for kind in ("prism", "moebius", "squared"):
+            adj = und(bidirected(n, ladder_pairs(kind, n)))
+            assert _three_connected(adj, n), kind
+            # two copies of half the size glued on the pair {0, 1}: a
+            # separation pair found deep inside one long path
+            pairs = ladder_pairs(kind, half)
+            shift = [0, 1, *range(half, 2 * half - 2)]
+            glued = {*pairs, *((shift[a], shift[b]) for a, b in pairs)}
+            adj = und(bidirected(2 * half - 2, glued))
+            assert min(map(len, adj)) >= 3 and _biconnected(adj, len(adj))
+            assert not _three_connected(adj, len(adj)), kind
+
+    def test_dense_two_vsb_violation(self):
+        # dense 2VC graphs, some with a vertex cut down to 2 or 3 neighbours
         from collections import Counter
 
         from sbspan.connectivity import _is_2vc, _two_vsb_violation
 
-        undirected_verdicts, gated = Counter(), 0
+        undirected_verdicts = Counter()
         for seed in range(300):
             rng, n = rng_below(seed + 5000, 12)
             n += 13
@@ -387,25 +498,19 @@ class TestCertificate:
                     rng, r = rng_below(rng, 100)
                     if u != v and r < 75 + percent:
                         edges.append((u, v))
-            # cut one vertex down to 2 or 3 bidirected neighbours, or not
             rng, keep = rng_below(rng, 3)
             if keep:
                 x, near = n - 1, range(keep + 1)
                 edges = [(u, v) for u, v in edges if x not in (u, v)]
                 edges += [e for w in near for e in ((x, w), (w, x))]
             g = build(n, edges)
-            if not passes_gate(g):
-                continue
-            gated += 1
-            adj = und(g)
             directed = _is_2vc(n, g.out_adj, g.in_adj)
-            undirected = three_connected(adj, n)
+            undirected = three_connected(und(g), n)
             assert _two_vsb_violation(n, g.out_adj, g.in_adj) == (
                 not (directed and undirected)), seed
             undirected_verdicts[undirected] += directed
-        # 280 pass the gate, all 2VC: 197 underlying 3-connected, 83 not
-        assert gated >= 250
-        assert min(undirected_verdicts[False], undirected_verdicts[True]) >= 50
+        # all 300 are 2VC: 207 underlying 3-connected, 93 not
+        assert min(undirected_verdicts.values()) >= 50
 
 
 class TestBArticulationPoints:
@@ -419,8 +524,13 @@ class TestBArticulationPoints:
             b_articulation_points(build(1, []))
 
     def test_matches_deletion_definition(self):
-        for seed in range(80):
-            g = random_graph(seed + 4000)
+        from sbspan import GenConfig, generate
+
+        samples = [random_graph(seed + 4000) for seed in range(80)]
+        # feasible inputs, which take the 2VSB fast path
+        samples += [generate(GenConfig(n=n, seed=s))
+                    for n in range(4, 13) for s in range(20)]
+        for g in samples:
             if g.n < 2:
                 continue
             expect = {
