@@ -205,7 +205,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with ExitStack() as files:
         # Open the outputs first, so that an unwritable path fails before
         # the run rather than after it.
-        csv_file = files.enter_context(open(args.csv, "w"))
+        csv_file = files.enter_context(open(args.csv, "w")) if args.csv else None
         json_file = files.enter_context(open(args.json, "w")) if args.json else None
         records = []
         for n in sizes:
@@ -216,7 +216,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
                 records += [_solve(g, alg, args.reps, seed=seed, gen_s=gen_s)[1]
                             for alg in algorithms]
-        csv_file.write("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
+        if csv_file:
+            csv_file.write("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
         if json_file:
             json_file.write(json.dumps({
                 "platform": platform.platform(),
@@ -227,7 +228,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             }, indent=1) + "\n")
 
     print(_markdown_table(records, algorithms))
-    print(f"wrote {Path(args.csv)}", file=sys.stderr)
+    for path in filter(None, (args.csv, args.json)):
+        print(f"wrote {Path(path)}", file=sys.stderr)
     return 0 if all(r["feasible"] for r in records) else 1
 
 
@@ -295,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of algorithms (default: all three)")
     p_bench.add_argument("--reps", type=int, default=1,
                          help="repetitions per run; minimum elapsed is reported")
-    p_bench.add_argument("--csv", default="bench.csv", help="CSV output path")
-    p_bench.add_argument("--json", help="also write one JSON record per "
+    p_bench.add_argument("--csv", help="write one CSV row per (n, seed, alg) here")
+    p_bench.add_argument("--json", help="write one JSON record per "
                          "(n, seed, alg) with algorithm and verification "
                          "seconds, plus the platform, here")
     p_bench.set_defaults(func=cmd_bench)

@@ -50,7 +50,11 @@ internally disjoint s-t paths leave s and reach t through k distinct
 neighbours.  Each path is then found by a bidirectional BFS through the
 vertices that no earlier path uses; only when there is none does a BFS over
 the residual graph reroute the paths found so far, and its failure proves
-fewer than k.
+fewer than k.  ``_keeps_2vsb`` runs one flow for both halves: its two
+directed u->v paths are also two undirected u-v paths, a feasible flow of
+the underlying graph, and augmenting paths reach the maximum from any
+feasible flow (Ford & Fulkerson), so the undirected test continues from
+them and searches for the third path only.
 
 Algorithm 1's repair asks whether two vertices share a strongly biconnected
 component of G - v, with G 2VC and so G - v strongly connected.  Those are
@@ -326,7 +330,8 @@ def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
 
 
 def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
-                    undirected: bool = False) -> bool:
+                    undirected: bool = False,
+                    prv: dict[int, int] | None = None) -> bool:
     """True iff there are at least k internally vertex-disjoint s->t paths.
 
     With ``undirected`` the underlying graph is searched: x's neighbours are
@@ -335,11 +340,14 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
     internal vertex.
 
     A unit-capacity max flow that grows one path at a time; ``prv`` maps
-    each internal vertex on a path to its predecessor there.  A degree floor
-    answers first: k paths leave s and reach t through k distinct
-    neighbours.  Each path is then sought by the free search
-    (``_free_path``) and, only when that fails, by one residual BFS
-    (``_reroute``), whose failure proves the flow maximum.
+    each internal vertex on a path to its predecessor there.  A caller may
+    pass the ``prv`` of an earlier call on the same s, t, which then grows in
+    place: its paths stay paths in underlying mode too, and augmenting from
+    any feasible flow reaches the maximum.  A degree floor answers first: k
+    paths leave s and reach t through k distinct neighbours.  Each missing
+    path is then sought by the free search (``_free_path``) and, only when
+    that fails, by one residual BFS (``_reroute``), whose failure proves the
+    flow maximum.
     """
     if undirected:
         fwd = bwd = (out_adj, in_adj)
@@ -350,7 +358,10 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
         fwd, bwd = (out_adj,), (in_adj,)
         if len(out_adj[s]) < k or len(in_adj[t]) < k:
             return False
-    prv: dict[int, int] = {}
+    if prv is None:
+        prv = {}
+    else:  # the paths found already: each one's first vertex follows s
+        k -= sum(p == s for p in prv.values())
     for _ in range(k):
         if not (_free_path(fwd, bwd, s, t, prv)
                 or _reroute(fwd, s, t, prv)):
@@ -469,11 +480,14 @@ def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     of 2VSB (see the module docstring), the deletion keeps it iff two
     internally disjoint u->v paths remain and, unless the antiparallel edge
     (v, u) keeps the underlying graph unchanged, three internally disjoint
-    u-v paths remain in the underlying graph.
+    u-v paths remain in the underlying graph.  One flow answers both: the
+    two directed paths are two undirected ones, so the undirected search
+    continues from them and needs only the third.
     """
-    return _keeps_2vc(out_adj, in_adj, u, v) and (
+    prv: dict[int, int] = {}
+    return _disjoint_paths(out_adj, in_adj, u, v, 2, prv=prv) and (
         u in out_adj[v]
-        or _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True))
+        or _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True, prv=prv))
 
 
 # ---- public predicates ------------------------------------------------------

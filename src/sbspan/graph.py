@@ -25,7 +25,8 @@ class ParseError(GraphError):
 Edge = tuple[int, int]
 
 # Largest vertex count read from text or the command line (100x the largest
-# timed instance; the O(n*m) verifier is impractical long before it).
+# timed instance; the deletion scans, one flow per candidate edge, are
+# impractical long before it).
 MAX_VERTICES = 100_000
 
 

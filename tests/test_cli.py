@@ -291,6 +291,15 @@ class TestBench:
             assert r["elapsed_s"] >= 0 and r["verify_s"] >= 0 and r["feasible"]
             assert r["gen_s"] >= 0
 
+    def test_json_only_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--sizes", "10", "--seeds", "1", "--algs", "alg2",
+                   "--json", "out.json"])
+        assert rc == 0
+        # no bench.csv, nor any other file, beside the one asked for
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert "wrote out.json" in capsys.readouterr().err
+
     def test_empty_algs_usage_error(self, tmp_path, capsys):
         rc = main(["bench", "--sizes", "10", "--seeds", "1", "--algs", " ",
                    "--csv", str(tmp_path / "x.csv")])

@@ -713,6 +713,62 @@ class TestDisjointPaths:
         assert _disjoint_paths(g.out_adj, g.in_adj, s, t, 2)
         assert reroutes == {True: 1}
 
+    @staticmethod
+    def _continue_undirected(g, e, reroutes):
+        """Without e = (u, v), the undirected 3-path verdict grown from the
+        directed 2-path flow, and ``_reroute``'s results while growing it;
+        None where ``_keeps_2vsb`` would not continue."""
+        from sbspan.connectivity import _disjoint_paths
+
+        u, v = e
+        out_adj, in_adj = _deleted_lists(g, e)
+        prv = {}
+        if (not _disjoint_paths(out_adj, in_adj, u, v, 2, prv=prv)
+                or u in out_adj[v]):
+            return None
+        before = reroutes.copy()
+        got = _disjoint_paths(out_adj, in_adj, u, v, 3, undirected=True,
+                              prv=prv)
+        return got, reroutes - before
+
+    def test_continued_flow_matches_fresh_on_edge_deletions(self, monkeypatch):
+        from collections import Counter
+
+        from sbspan import GenConfig, generate
+        from sbspan.connectivity import _disjoint_paths
+
+        reroutes = _count_reroutes(monkeypatch)
+        verdicts, continued = Counter(), Counter()
+        for n in range(4, 16):
+            for seed in range(60):
+                g = generate(GenConfig(n=n, seed=seed))
+                for e in g.edges:
+                    result = self._continue_undirected(g, e, reroutes)
+                    if result is None:
+                        continue
+                    got, seen = result
+                    continued += seen
+                    fresh = _disjoint_paths(*_deleted_lists(g, e), *e, 3,
+                                            undirected=True)
+                    assert got == fresh, (n, seed, e)
+                    verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+        # the continued searches both rerouted the directed paths and
+        # proved a maximum
+        assert continued[True] and continued[False]
+
+    @pytest.mark.parametrize("n, seed, e, verdict", [
+        (5, 10, (4, 2), True),  # the third path reroutes a directed one
+        (6, 41, (1, 0), False),  # the residual search proves two the most
+    ])
+    def test_continued_flow_pinned(self, monkeypatch, n, seed, e, verdict):
+        from sbspan import GenConfig, generate
+
+        reroutes = _count_reroutes(monkeypatch)
+        g = generate(GenConfig(n, seed))
+        got, seen = self._continue_undirected(g, e, reroutes)
+        assert got is verdict and seen == {verdict: 1}
+
 
 class TestLocalDeletionTest:
     """The deletion pass's local tests against the definition predicates on
