@@ -9,11 +9,14 @@ spanning subgraphs.
 
 All three share one edge-deletion pass over mutable adjacency, differing
 only in the property a deletion must keep and the edges it may not touch.
-Each candidate is judged by a local disjoint-paths test of the deleted edge,
-which is exact because the current subgraph is always feasible; algorithm
-1's repair picks each edge by the same test.  Every scan
-walks edges in canonical order, so identical inputs produce identical
-outputs.
+The pass first deletes every candidate that passes the property's degree
+floor and confirms the result with one whole-graph check; since the
+property is monotone under adding edges, that confirms every deletion of
+the sequential pass at once.  Only when the check fails is each candidate
+judged by a local disjoint-paths test of the deleted edge, exact because
+the current subgraph is always feasible; algorithm 1's repair picks each
+edge by the same kind of test.  Every scan walks edges in canonical order,
+so identical inputs produce identical outputs.
 """
 
 import time
@@ -22,9 +25,13 @@ from dataclasses import dataclass, field
 from .connectivity import (
     _biconnected,
     _disjoint_paths,
+    _floor_2vc,
+    _floor_2vsb,
+    _is_2vc,
     _keeps_2vc,
     _keeps_2vsb,
     _three_connected,
+    _two_vsb_violation,
     _und_adj,
     is_2v_strongly_biconnected,
     is_2vertex_connected,
@@ -69,21 +76,47 @@ def _require_feasible(g: DiGraph) -> None:
         raise ValueError("input is not 2-vertex strongly biconnected")
 
 
-def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
-    """Delete, in canonical order, every unprotected edge (u, v) for which
-    ``keeps(out_adj, in_adj, u, v)`` holds on the graph without it; build
-    the DiGraph once, at the end.
+def _is_2vsb(n: int, out_adj, in_adj) -> bool:
+    """Whole-graph 2VSB check over adjacency lists."""
+    return not _two_vsb_violation(n, out_adj, in_adj)
 
-    ``keeps`` is a local test of the deleted edge (``_keeps_2vc``,
-    ``_keeps_2vsb``), exact only when the graph was feasible before the
-    deletion.  The caller guarantees that g is feasible; every accepted
-    deletion keeps the current subgraph feasible, so the guarantee holds
-    inductively.  Works on one mutable copy of the adjacency lists,
-    re-appending an edge whose deletion fails the test.  The output equals
-    that of rebuilding the graph per candidate and re-checking the
+
+# Each property the deletion pass keeps: its degree floor, its exact local
+# test of one deletion and its whole-graph check.
+_2VC = (_floor_2vc, _keeps_2vc, _is_2vc)
+_2VSB = (_floor_2vsb, _keeps_2vsb, _is_2vsb)
+
+
+def _deletion_pass(g: DiGraph, prop, protected=frozenset()) -> DiGraph:
+    """Delete, in canonical order, every unprotected edge whose deletion
+    keeps the property ``prop`` (``_2VC`` or ``_2VSB``) of the graph left
+    by the deletions before it; build the DiGraph once, at the end.
+
+    The caller guarantees that g has the property.  A first scan deletes
+    every candidate that passes the property's degree floor, and one
+    whole-graph check tests what is left.  If it holds, these are exactly
+    the edges the sequential pass deletes, by induction over the scan: a
+    floor rejection is a rejection of the local test too, and every graph
+    of the sequential pass contains the checked one, so by monotonicity
+    under adding edges each deletion that passes the floor keeps the
+    property.  Otherwise a second scan is the sequential pass itself: each
+    candidate is judged by the local test, exact because every accepted
+    deletion keeps the current subgraph feasible.  The output equals that
+    of rebuilding the graph per candidate and re-checking the
     definition-level predicate, byte for byte.
     """
-    n = g.n
+    floor, keeps, holds = prop
+    kept, out_adj, in_adj = _scan(g, floor, protected)
+    if not holds(g.n, out_adj, in_adj):
+        kept = _scan(g, keeps, protected)[0]
+    return build(g.n, kept)
+
+
+def _scan(g: DiGraph, test, protected):
+    """The kept edges and the adjacency left when every unprotected edge
+    (u, v) for which ``test(out_adj, in_adj, u, v)`` holds on the graph
+    without it is deleted in turn.  Works on one mutable copy of the
+    adjacency lists, re-appending an edge whose deletion fails the test."""
     out_adj = [list(a) for a in g.out_adj]
     in_adj = [list(a) for a in g.in_adj]
     kept: list[Edge] = []
@@ -92,12 +125,12 @@ def _deletion_pass(g: DiGraph, keeps, protected=frozenset()) -> DiGraph:
             u, v = e
             out_adj[u].remove(v)
             in_adj[v].remove(u)
-            if keeps(out_adj, in_adj, u, v):
+            if test(out_adj, in_adj, u, v):
                 continue
             out_adj[u].append(v)
             in_adj[v].append(u)
         kept.append(e)
-    return build(n, kept)
+    return kept, out_adj, in_adj
 
 
 def minimal_2vcss(g: DiGraph) -> DiGraph:
@@ -111,7 +144,7 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
     """
     if not is_2vertex_connected(g):
         raise ValueError("input is not 2-vertex connected")
-    return _deletion_pass(g, _keeps_2vc)
+    return _deletion_pass(g, _2VC)
 
 
 def _repair(g: DiGraph, und, v: int) -> Edge:
@@ -176,7 +209,7 @@ def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     if precheck:
         _require_feasible(g)
     t0 = time.perf_counter()
-    h = _deletion_pass(g, _keeps_2vsb)
+    h = _deletion_pass(g, _2VSB)
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,
@@ -219,7 +252,7 @@ def algorithm3(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
         _require_feasible(g)
     t0 = time.perf_counter()
     cover = greedy_degree_cover(g)
-    h = _deletion_pass(g, _keeps_2vsb, set(cover))
+    h = _deletion_pass(g, _2VSB, set(cover))
     elapsed = time.perf_counter() - t0
     return AlgoResult(
         subgraph=h,

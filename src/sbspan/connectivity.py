@@ -23,8 +23,11 @@ trees) and its underlying graph is 3-vertex connected (still biconnected
 after deleting any one vertex).  This follows from the definition because
 G - v is strongly connected for every v iff G is 2VC, and the underlying
 graph of G - v is the underlying graph of G minus v.  ``_two_vsb_violation``
-decides it for a whole graph.  The deletion pass in ``approx`` judges each
-candidate edge locally instead: ``_keeps_2vc``/``_keeps_2vsb`` count
+decides it for a whole graph, and ``_is_2vc`` the directed half.  The
+deletion pass in ``approx`` runs one of these on the graph left once every
+candidate that passes the degree floor (``_floor_2vc``/``_floor_2vsb``) is
+deleted.  Only when that check fails does it judge each candidate edge
+locally: ``_keeps_2vc``/``_keeps_2vsb`` apply the same floor, then count
 internally vertex-disjoint paths between the edge's endpoints (Menger's
 theorem), which is exact when the graph was feasible before the deletion.
 
@@ -45,7 +48,7 @@ first-phase subgraph that is not 3-connected, and ``b_articulation_points``
 of a graph that is not 2VSB.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
-cheap in the common cases.  A degree floor rejects first, in O(deg): k
+cheap in the common cases.  The degree floor rejects first, in O(deg): k
 internally disjoint s-t paths leave s and reach t through k distinct
 neighbours.  Each path is then found by a bidirectional BFS through the
 vertices that no earlier path uses; only when there is none does a BFS over
@@ -343,21 +346,14 @@ def _disjoint_paths(out_adj, in_adj, s: int, t: int, k: int,
     each internal vertex on a path to its predecessor there.  A caller may
     pass the ``prv`` of an earlier call on the same s, t, which then grows in
     place: its paths stay paths in underlying mode too, and augmenting from
-    any feasible flow reaches the maximum.  A degree floor answers first: k
-    paths leave s and reach t through k distinct neighbours.  Each missing
-    path is then sought by the free search (``_free_path``) and, only when
-    that fails, by one residual BFS (``_reroute``), whose failure proves the
-    flow maximum.
+    any feasible flow reaches the maximum.  Each missing path is sought by
+    the free search (``_free_path``) and, only when that fails, by one
+    residual BFS (``_reroute``), whose failure proves the flow maximum.
     """
     if undirected:
         fwd = bwd = (out_adj, in_adj)
-        if (len({*out_adj[s], *in_adj[s]}) < k
-                or len({*out_adj[t], *in_adj[t]}) < k):
-            return False
     else:
         fwd, bwd = (out_adj,), (in_adj,)
-        if len(out_adj[s]) < k or len(in_adj[t]) < k:
-            return False
     if prv is None:
         prv = {}
     else:  # the paths found already: each one's first vertex follows s
@@ -461,6 +457,22 @@ def _reroute(adjs, s: int, t: int, prv: dict) -> bool:
     return True
 
 
+def _floor_2vc(out_adj, in_adj, u: int, v: int) -> bool:
+    """Degree floor of ``_keeps_2vc``, in O(1): two internally disjoint
+    u->v paths leave u and reach v through two distinct neighbours."""
+    return len(out_adj[u]) > 1 and len(in_adj[v]) > 1
+
+
+def _floor_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
+    """Degree floor of ``_keeps_2vsb``, in O(deg): the directed floor and,
+    unless (v, u) is present, three distinct underlying neighbours each for
+    u and v."""
+    return _floor_2vc(out_adj, in_adj, u, v) and (
+        u in out_adj[v]
+        or (len({*out_adj[u], *in_adj[u]}) > 2
+            and len({*out_adj[v], *in_adj[v]}) > 2))
+
+
 def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     """Whether a 2-vertex-connected graph stays so without edge (u, v).
 
@@ -469,7 +481,8 @@ def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     vertex of the rest would split u from v, so two internally disjoint
     u->v paths suffice.
     """
-    return _disjoint_paths(out_adj, in_adj, u, v, 2)
+    return (_floor_2vc(out_adj, in_adj, u, v)
+            and _disjoint_paths(out_adj, in_adj, u, v, 2))
 
 
 def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
@@ -484,6 +497,8 @@ def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     two directed paths are two undirected ones, so the undirected search
     continues from them and needs only the third.
     """
+    if not _floor_2vsb(out_adj, in_adj, u, v):
+        return False
     prv: dict[int, int] = {}
     return _disjoint_paths(out_adj, in_adj, u, v, 2, prv=prv) and (
         u in out_adj[v]

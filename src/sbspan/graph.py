@@ -25,8 +25,9 @@ class ParseError(GraphError):
 Edge = tuple[int, int]
 
 # Largest vertex count read from text or the command line (100x the largest
-# timed instance; the deletion scans, one flow per candidate edge, are
-# impractical long before it).
+# timed instance).  The whole-graph checks are near-linear, but a deletion
+# pass whose one-shot check fails runs one flow per candidate edge, and
+# algorithm 1's repair is quadratic, so large inputs can still take long.
 MAX_VERTICES = 100_000
 
 

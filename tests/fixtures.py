@@ -33,3 +33,22 @@ DIAMOND = build(4, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
 
 # Directed path on 4 vertices.
 CHAIN4 = build(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def bidirected(n, pairs):
+    """Both orientations of each vertex pair."""
+    return build(n, [e for a, b in pairs for e in ((a, b), (b, a))])
+
+
+def ladder_pairs(kind, n):
+    """Vertex pairs of a prism or Moebius ladder (n even) or a squared cycle
+    on n vertices; each is 3-connected for n >= 6."""
+    k = n // 2
+    if kind == "prism":
+        return ([(i, (i + 1) % k) for i in range(k)]
+                + [(k + i, k + (i + 1) % k) for i in range(k)]
+                + [(i, k + i) for i in range(k)])
+    if kind == "moebius":
+        return ([(i, (i + 1) % n) for i in range(n)]
+                + [(i, i + k) for i in range(k)])
+    return [(i, (i + d) % n) for i in range(n) for d in (1, 2)]

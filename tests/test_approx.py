@@ -17,7 +17,7 @@ from sbspan import (
 from sbspan.approx import greedy_degree_cover
 from sbspan.connectivity import same_sbcc, strong_articulation_points_bruteforce
 from sbspan.graph import delete_edge, delete_vertex
-from fixtures import BK4, C4, CHAIN4, OCT8
+from fixtures import BK4, C4, CHAIN4, OCT8, bidirected, ladder_pairs
 
 
 def small_instances(count=8, start_seed=0):
@@ -297,19 +297,74 @@ def _rebuild_per_candidate(g, predicate, protected=frozenset()):
     return h
 
 
+def _count_scans(monkeypatch):
+    """The test each of the deletion pass's scans runs, from here on."""
+    from sbspan import approx
+
+    tests = []
+    scan = approx._scan
+
+    def counted(g, test, protected):
+        tests.append(test)
+        return scan(g, test, protected)
+
+    monkeypatch.setattr(approx, "_scan", counted)
+    return tests
+
+
+def _relabeled(n, pairs, seed):
+    """The bidirected graph of the pairs after a seeded random relabeling,
+    its edges in random order."""
+    import random
+
+    rnd = random.Random(seed)
+    label = list(range(n))
+    rnd.shuffle(label)
+    edges = [(label[a], label[b]) for x, y in pairs for a, b in ((x, y), (y, x))]
+    rnd.shuffle(edges)
+    return build(n, edges)
+
+
+def _deletion_pass_inputs():
+    for n in range(4, 13):
+        for seed in range(40):
+            yield (n, seed), generate(GenConfig(n=n, seed=seed))
+    for n in range(6, 31):
+        for kind in ("prism", "moebius", "squared"):
+            if kind == "squared" or n % 2 == 0:
+                pairs = ladder_pairs(kind, n)
+                yield (kind, n), bidirected(n, pairs)
+                yield (kind, n, "relabeled"), _relabeled(n, pairs, n)
+
+
 class TestDeletionPass:
-    def test_matches_rebuild_per_candidate(self):
-        for n in range(4, 13):
-            for seed in range(40):
-                g = generate(GenConfig(n=n, seed=seed))
-                r2 = algorithm2(g, precheck=False)
-                ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected)
-                assert r2.subgraph == ref, (n, seed)
-                assert r2.trace.edges_removed == g.m - ref.m
-                r3 = algorithm3(g, precheck=False)
-                cover = set(greedy_degree_cover(g))
-                ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected, cover)
-                assert r3.subgraph == ref, (n, seed)
-                assert r3.trace.edges_removed == g.m - ref.m
-                ref = _rebuild_per_candidate(g, is_2vertex_connected)
-                assert minimal_2vcss(g) == ref, (n, seed)
+    def test_matches_rebuild_per_candidate(self, monkeypatch):
+        from collections import Counter
+
+        scans = _count_scans(monkeypatch)
+        branches = Counter()
+
+        def counted(name, solve):
+            before = len(scans)
+            out = solve()
+            branches[name, len(scans) - before] += 1
+            return out
+
+        for case, g in _deletion_pass_inputs():
+            r2 = counted("alg2", lambda: algorithm2(g, precheck=False))
+            ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected)
+            assert r2.subgraph == ref, case
+            assert r2.trace.edges_removed == g.m - ref.m
+            r3 = counted("alg3", lambda: algorithm3(g, precheck=False))
+            cover = set(greedy_degree_cover(g))
+            ref = _rebuild_per_candidate(g, is_2v_strongly_biconnected, cover)
+            assert r3.subgraph == ref, case
+            assert r3.trace.edges_removed == g.m - ref.m
+            ref = _rebuild_per_candidate(g, is_2vertex_connected)
+            assert counted("alg1 phase 1", lambda: minimal_2vcss(g)) == ref, case
+        # one scan when the whole-graph check confirms the first one, two
+        # when the per-candidate scan runs after it; both for each property
+        # and protected set
+        assert {scans for _, scans in branches} == {1, 2}
+        for name in ("alg1 phase 1", "alg2", "alg3"):
+            assert branches[name, 1] and branches[name, 2], branches

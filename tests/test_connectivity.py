@@ -18,7 +18,9 @@ from sbspan.connectivity import (
 from sbspan.dominators import dominator_tree
 from sbspan.generator import rng_below
 from sbspan.graph import delete_edge, delete_vertex
-from fixtures import BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8
+from fixtures import (
+    BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8, bidirected, ladder_pairs,
+)
 
 
 def random_graph(seed, max_n=12, density=3):
@@ -72,24 +74,6 @@ def components(n, adj, gone=()):
                     seen.add(w)
                     stack.append(w)
     return count
-
-
-def bidirected(n, pairs):
-    return build(n, [e for a, b in pairs for e in ((a, b), (b, a))])
-
-
-def ladder_pairs(kind, n):
-    """Vertex pairs of a prism or Moebius ladder (n even) or a squared cycle
-    on n vertices; each is 3-connected for n >= 6."""
-    k = n // 2
-    if kind == "prism":
-        return ([(i, (i + 1) % k) for i in range(k)]
-                + [(k + i, k + (i + 1) % k) for i in range(k)]
-                + [(i, k + i) for i in range(k)])
-    if kind == "moebius":
-        return ([(i, (i + 1) % n) for i in range(n)]
-                + [(i, i + k) for i in range(k)])
-    return [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
 
 
 class TestScc:

@@ -1,11 +1,22 @@
 import pytest
 
-from sbspan import build, is_strongly_connected, strong_articulation_points_fast
+from sbspan import (
+    GenConfig,
+    algorithm2,
+    algorithm3,
+    build,
+    generate,
+    is_2v_strongly_biconnected,
+    is_2vertex_connected,
+    is_strongly_connected,
+    strong_articulation_points_fast,
+)
 from sbspan.connectivity import strong_articulation_points_bruteforce
 from sbspan.dominators import _nontrivial, dominator_tree, reverse
 from sbspan.generator import rng_below
 from sbspan.graph import delete_vertex
-from fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND
+from fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND, bidirected, ladder_pairs
+from reference import dominator_tree_iterative
 
 
 def random_sc_graph(seed, max_n=30):
@@ -25,6 +36,32 @@ def random_sc_graph(seed, max_n=30):
         if is_strongly_connected(g):
             return g
         target += 1
+
+
+def gates(k):
+    """k gates in a row, c_i -> x_i, y_i -> c_{i+1} with x_i <-> y_i, for
+    c_i = 3i-2, x_i = 3i-1, y_i = 3i and c_{k+1} = 0, entered by 0 -> 1 and
+    0 -> 2, plus fronds x_i -> 1 and y_i -> 1 for i >= 2: n = 3k+1, m = 8k,
+    in- and out-degree 2 at least, strongly connected, and every c_i with
+    i >= 2 separates, so the dominator tree from 0 is one long chain."""
+    edges = [(0, 1), (0, 2)]
+    for i in range(1, k + 1):
+        c, x, y = 3 * i - 2, 3 * i - 1, 3 * i
+        nxt = 3 * i + 1 if i < k else 0
+        edges += [(c, x), (c, y), (x, nxt), (y, nxt), (x, y), (y, x)]
+        if i >= 2:
+            edges += [(x, 1), (y, 1)]
+    return build(3 * k + 1, edges)
+
+
+def trees_match_reference(g):
+    """Both directions from roots 0 and n-1 agree with the iterative
+    scheme; returns the number of trees compared."""
+    for root in {0, g.n - 1}:
+        for succ, pred in ((g.out_adj, g.in_adj), (g.in_adj, g.out_adj)):
+            assert dominator_tree(succ, pred, root) == \
+                dominator_tree_iterative(succ, pred, root), (g, root)
+    return 2 * len({0, g.n - 1})
 
 
 class TestDominatorTree:
@@ -81,6 +118,49 @@ class TestDominatorTree:
                     edges[i], edges[j] = edges[j], edges[i]
                 h = build(g.n, edges)
                 assert dominator_tree(h.out_adj, h.in_adj, 0) == base
+
+
+    def test_matches_iterative_on_random_digraphs(self):
+        # not necessarily strongly connected: unreachable vertices too
+        trees = 0
+        for seed in range(4000):
+            rng, n = rng_below(seed + 40000, 29)
+            n += 2
+            rng, m = rng_below(rng, 4 * n)
+            edges = set()
+            for _ in range(m):
+                rng, u = rng_below(rng, n)
+                rng, v = rng_below(rng, n)
+                if u != v:
+                    edges.add((u, v))
+            trees += trees_match_reference(build(n, sorted(edges)))
+        assert trees == 16000
+
+    def test_matches_iterative_on_generated(self):
+        for n in range(4, 40):
+            for seed in range(10):
+                trees_match_reference(generate(GenConfig(n=n, seed=seed)))
+
+    def test_matches_iterative_on_ladder_outputs(self):
+        # alg2 and alg3 leave long cycles: deep trees, long compressions
+        for n in range(6, 61):
+            for kind in ("prism", "moebius", "squared"):
+                if kind != "squared" and n % 2:
+                    continue
+                g = bidirected(n, ladder_pairs(kind, n))
+                trees_match_reference(algorithm2(g, precheck=False).subgraph)
+                trees_match_reference(algorithm3(g, precheck=False).subgraph)
+
+    def test_matches_iterative_on_gates(self):
+        for k in range(1, 40):
+            trees_match_reference(gates(k))
+
+    def test_deep_chains_pinned(self):
+        # the iterative scheme needs ~13 s for the gate verdict and ~6.6 s
+        # of trees for the prism one; both are far below that now
+        assert not is_2vertex_connected(gates(8000))  # n = 24,001
+        g = bidirected(1200, ladder_pairs("prism", 1200))
+        assert is_2v_strongly_biconnected(algorithm3(g, precheck=False).subgraph)
 
 
 def nontrivial(g, root):
