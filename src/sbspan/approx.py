@@ -7,22 +7,26 @@ spanning subgraphs.
 * ``algorithm3``: protect a greedy degree cover, then delete everything else
   that can go.
 
-All three share one edge-deletion pass over mutable adjacency, differing
-only in the property a deletion must keep and the edges it may not touch.
-The pass first deletes every candidate that passes the property's degree
-floor and confirms the result with one whole-graph check; since the
-property is monotone under adding edges, that confirms every deletion of
-the sequential pass at once.  Only when the check fails is each candidate
+All three enter through ``_entry`` (input check, timer, result) and share
+one edge-deletion pass over mutable adjacency, differing only in the
+property a deletion must keep and the edges it may not touch.  The pass
+first deletes every candidate that passes the property's degree floor and
+confirms the result with one whole-graph check; since the property is
+monotone under adding edges, that confirms every deletion of the
+sequential pass at once.  Only when the check fails is each candidate
 judged by a local disjoint-paths test of the deleted edge, exact because
-the current subgraph is always feasible; algorithm 1's repair picks each
-edge by the same kind of test.  Every scan walks edges in canonical order,
-so identical inputs produce identical outputs.
+the current subgraph is always feasible.  Algorithm 1 takes its first
+phase's b-articulation points from ``b_articulation_points``' core for
+2VC graphs and repairs each in one forward scan of the input's edges, by
+the same kind of test.  Every scan walks edges in canonical order, so
+identical inputs produce identical outputs.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from .connectivity import (
+    _b_articulation_points_2vc,
     _biconnected,
     _disjoint_paths,
     _floor_2vc,
@@ -30,7 +34,6 @@ from .connectivity import (
     _is_2vc,
     _keeps_2vc,
     _keeps_2vsb,
-    _three_connected,
     _two_vsb_violation,
     _und_adj,
     is_2v_strongly_biconnected,
@@ -71,9 +74,15 @@ class AlgoResult:
     trace: AlgoTrace = field(default_factory=AlgoTrace)
 
 
-def _require_feasible(g: DiGraph) -> None:
-    if not is_2v_strongly_biconnected(g):
+def _entry(alg: str, g: DiGraph, precheck: bool, solve) -> AlgoResult:
+    """The one entry path of the three algorithms: the input check unless
+    ``precheck`` is False, then ``solve(g)``, which returns the subgraph
+    and its trace, timed."""
+    if precheck and not is_2v_strongly_biconnected(g):
         raise ValueError("input is not 2-vertex strongly biconnected")
+    t0 = time.perf_counter()
+    h, trace = solve(g)
+    return AlgoResult(h, alg, time.perf_counter() - t0, h.m, trace)
 
 
 def _is_2vsb(n: int, out_adj, in_adj) -> bool:
@@ -147,56 +156,45 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
     return _deletion_pass(g, _2VC)
 
 
-def _repair(g: DiGraph, und, v: int) -> Edge:
-    """The first edge of g bridging two strongly biconnected components of
-    gplus - v: its ends are not adjacent in ``und`` (gplus's underlying
-    adjacency) and not joined by two disjoint paths in ``und`` minus v."""
-    rest = [[] if u == v else [y for y in a if y != v] for u, a in enumerate(und)]
-    for w, x in g.edges:
-        if (v != w and v != x and x not in und[w]
-                and not _disjoint_paths(rest, rest, w, x, 2)):
-            return w, x
-    raise RepairLoopStalled(
-        f"no candidate edge separates components around vertex {v}"
-    )
-
-
 def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     """Minimal 2-vertex-connected subgraph plus b-articulation repair.
 
     With ``precheck=False`` the caller guarantees a feasible (2-vertex
     strongly biconnected) input.
     """
-    if precheck:
-        _require_feasible(g)
-    t0 = time.perf_counter()
+    return _entry("alg1", g, precheck, _alg1)
+
+
+def _alg1(g: DiGraph):
     gplus = minimal_2vcss(g)
-    # gplus is 2-vertex connected and only gains edges, so gplus - v stays
-    # strongly connected: v is a b-articulation point exactly while the
-    # underlying graph minus v is not biconnected, and there is none when
-    # that graph is 3-connected.
     n = gplus.n
     und = _und_adj(gplus.out_adj, gplus.in_adj)
-    bap = frozenset() if _three_connected(und, n) else frozenset(
-        v for v in range(n) if not _biconnected(und, n, v))
+    bap = frozenset(_b_articulation_points_2vc(und, n))
     added: list[Edge] = []
     for v in sorted(bap):
-        while not _biconnected(und, n, v):
-            w, x = _repair(g, und, v)
-            und[w].append(x)
-            und[x].append(w)
-            added.append((w, x))
+        # gplus - v stays strongly connected, so v is a b-articulation point
+        # while und - v is not biconnected.  Until it is, re-add each edge of
+        # g whose ends are neither adjacent nor joined by two disjoint paths
+        # there; blocks only merge, so an edge passed stays ineligible.
+        if _biconnected(und, n, v):
+            continue
+        rest = [[y for y in a if y != v] for a in und]  # no list holds v
+        for w, x in g.edges:
+            if (v != w and v != x and x not in und[w]
+                    and not _disjoint_paths(rest, rest, w, x, 2)):
+                for adj in und, rest:
+                    adj[w].append(x)
+                    adj[x].append(w)
+                added.append((w, x))
+                if _biconnected(und, n, v):
+                    break
+        else:
+            raise RepairLoopStalled(
+                f"no candidate edge separates components around vertex {v}")
     if added:
         gplus = build(n, (*gplus.edges, *added))
-    elapsed = time.perf_counter() - t0
-    return AlgoResult(
-        subgraph=gplus,
-        algorithm="alg1",
-        elapsed=elapsed,
-        edges_out=gplus.m,
-        trace=AlgoTrace(l_bap_count=len(bap), bap_set=bap,
-                        edges_added=len(added)),
-    )
+    return gplus, AlgoTrace(l_bap_count=len(bap), bap_set=bap,
+                            edges_added=len(added))
 
 
 def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
@@ -206,18 +204,13 @@ def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     With ``precheck=False`` the caller guarantees a feasible input; the
     deletion pass's local test is exact only on one.
     """
-    if precheck:
-        _require_feasible(g)
-    t0 = time.perf_counter()
-    h = _deletion_pass(g, _2VSB)
-    elapsed = time.perf_counter() - t0
-    return AlgoResult(
-        subgraph=h,
-        algorithm="alg2",
-        elapsed=elapsed,
-        edges_out=h.m,
-        trace=AlgoTrace(edges_removed=g.m - h.m),
-    )
+    return _entry("alg2", g, precheck, _deletions)
+
+
+def _deletions(g: DiGraph, cover=()):
+    """One deletion pass keeping 2VSB that never deletes an edge of cover."""
+    h = _deletion_pass(g, _2VSB, set(cover))
+    return h, AlgoTrace(edges_removed=g.m - h.m, phase1_size=len(cover))
 
 
 def greedy_degree_cover(g: DiGraph) -> list[Edge]:
@@ -248,16 +241,5 @@ def algorithm3(g: DiGraph, *, precheck: bool = True) -> AlgoResult:
     individually necessary.  With ``precheck=False`` the caller guarantees a
     feasible input; the deletion pass's local test is exact only on one.
     """
-    if precheck:
-        _require_feasible(g)
-    t0 = time.perf_counter()
-    cover = greedy_degree_cover(g)
-    h = _deletion_pass(g, _2VSB, set(cover))
-    elapsed = time.perf_counter() - t0
-    return AlgoResult(
-        subgraph=h,
-        algorithm="alg3",
-        elapsed=elapsed,
-        edges_out=h.m,
-        trace=AlgoTrace(edges_removed=g.m - h.m, phase1_size=len(cover)),
-    )
+    return _entry("alg3", g, precheck,
+                  lambda g: _deletions(g, greedy_degree_cover(g)))

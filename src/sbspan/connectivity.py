@@ -43,9 +43,9 @@ type-1 or type-2 separation pair.  It requires a simple graph, which
 rules out, before the first pair, the degree-2 vertices and doubled edges
 that Gutwenger & Mutzel's extra branches handle.  The per-vertex form, one
 ``_biconnected`` DFS per deleted vertex, remains where the separating
-vertices themselves are wanted: algorithm 1's b-articulation points of a
-first-phase subgraph that is not 3-connected, and ``b_articulation_points``
-of a graph that is not 2VSB.
+vertices themselves are wanted: ``_b_articulation_points_2vc``, the
+b-articulation points of a 2VC graph for ``b_articulation_points`` and
+algorithm 1 alike, skips it when the underlying graph is 3-connected.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
 cheap in the common cases.  The degree floor rejects first, in O(deg): k
@@ -63,6 +63,8 @@ Algorithm 1's repair asks whether two vertices share a strongly biconnected
 component of G - v, with G 2VC and so G - v strongly connected.  Those are
 the blocks of G - v's underlying graph, and two non-adjacent vertices share
 a block iff two internally disjoint paths join them (``_disjoint_paths``).
+Blocks only merge as edges are added, so the repair scans the input's
+edges once, forward, per b-articulation point.
 """
 
 from .graph import DiGraph
@@ -325,6 +327,14 @@ def _three_connected(und, n: int) -> bool:
     return True
 
 
+def _b_articulation_points_2vc(und, n: int) -> set[int]:
+    """The b-articulation points of a 2VC graph with underlying adjacency
+    ``und``: G - v stays strongly connected, so those v for which und - v is
+    not biconnected, and none when und is 3-connected (G is then 2VSB)."""
+    return set() if _three_connected(und, n) else {
+        v for v in range(n) if not _biconnected(und, n, v)}
+
+
 def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
     """True unless the graph is 2-vertex strongly biconnected: 2VC plus a
     3-vertex-connected underlying graph (see the module docstring)."""
@@ -574,10 +584,9 @@ def b_articulation_points(g: DiGraph) -> set[int]:
     if g.n < 2:
         raise ValueError("b-articulation points require n >= 2")
     out_adj, in_adj, n = g.out_adj, g.in_adj, g.n
-    # G - v is strongly biconnected for every v exactly when G is 2VSB
-    if not _two_vsb_violation(n, out_adj, in_adj):
-        return set()
     und = _und_adj(out_adj, in_adj)
+    if _is_2vc(n, out_adj, in_adj):
+        return _b_articulation_points_2vc(und, n)
     return {v for v in range(n)
             if not _strongly_connected(out_adj, in_adj, n, v)
             or not _biconnected(und, n, v)}

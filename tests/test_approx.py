@@ -154,19 +154,9 @@ class TestAlgorithm1:
                  for n in range(4, 13) for seed in range(40)]
         # Bidirected prism, Moebius ladder and squared cycle: almost every
         # vertex of the first phase is a b-articulation point.
-        for n in range(6, 17, 2):
-            k = n // 2
-            families = {
-                "prism": [(i, (i + 1) % k) for i in range(k)]
-                + [(k + i, k + (i + 1) % k) for i in range(k)]
-                + [(i, k + i) for i in range(k)],
-                "moebius": [(i, (i + 1) % n) for i in range(n)]
-                + [(i, i + k) for i in range(k)],
-                "squared": [(i, (i + d) % n) for i in range(n) for d in (1, 2)],
-            }
-            for name, pairs in families.items():
-                edges = [e for a, b in pairs for e in ((a, b), (b, a))]
-                cases.append(((name, n), build(n, edges)))
+        cases += [((kind, n), bidirected(n, ladder_pairs(kind, n)))
+                  for n in range(6, 17, 2)
+                  for kind in ("prism", "moebius", "squared")]
         repaired = Counter()
         for case, g in cases:
             r = algorithm1(g, precheck=False)

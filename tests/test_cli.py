@@ -270,13 +270,22 @@ class TestBench:
 
         assert strip_elapsed(a.read_text()) == strip_elapsed(b.read_text())
 
-    def test_json_records(self, tmp_path):
+    def test_json_records(self, tmp_path, monkeypatch):
         import json
 
+        # verify_s and gen_s are the least of --reps runs, like elapsed_s
+        calls = {"generate": 0, "is_2v_strongly_biconnected": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(sbspan.cli, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(sbspan.cli, name, counted)
         csv, out = tmp_path / "bench.csv", tmp_path / "bench.json"
         rc = main(["bench", "--sizes", "10,12", "--seeds", "1", "--reps", "2",
                    "--algs", "alg1,alg3", "--csv", str(csv), "--json", str(out)])
         assert rc == 0
+        # two generations per instance, two verifications per record
+        assert calls == {"generate": 2 * 2, "is_2v_strongly_biconnected": 2 * 4}
         doc = json.loads(out.read_text())
         assert doc["reps"] == 2 and doc["cpu_count"] >= 1
         assert doc["platform"] and doc["python_version"]

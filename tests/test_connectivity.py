@@ -508,13 +508,17 @@ class TestBArticulationPoints:
             b_articulation_points(build(1, []))
 
     def test_matches_deletion_definition(self):
-        from sbspan import GenConfig, generate
+        from sbspan import GenConfig, generate, minimal_2vcss
 
         samples = [random_graph(seed + 4000) for seed in range(80)]
-        # feasible inputs, which take the 2VSB fast path
+        # feasible inputs, which the 2VC branch answers by 3-connectivity
         samples += [generate(GenConfig(n=n, seed=s))
                     for n in range(4, 13) for s in range(20)]
-        for g in samples:
+        # 2-vertex-connected first-phase subgraphs of algorithm 1, which
+        # take the per-vertex 2VC branch unless they are 2VSB
+        first_phase = [minimal_2vcss(generate(GenConfig(n=n, seed=s)))
+                       for n in range(5, 13) for s in range(20)]
+        for g in samples + first_phase:
             if g.n < 2:
                 continue
             expect = {
@@ -522,6 +526,8 @@ class TestBArticulationPoints:
                 if not is_strongly_biconnected(delete_vertex(g, v)[0])
             }
             assert b_articulation_points(g) == expect
+        # some of them are not 2VSB, so that branch returns points
+        assert sum(map(bool, map(b_articulation_points, first_phase))) >= 20
 
     def test_sap_subset_of_bap(self):
         for seed in range(100):
