@@ -15,11 +15,14 @@ confirms the result with one whole-graph check; since the property is
 monotone under adding edges, that confirms every deletion of the
 sequential pass at once.  Only when the check fails is each candidate
 judged by a local disjoint-paths test of the deleted edge, exact because
-the current subgraph is always feasible.  Algorithm 1 takes its first
-phase's b-articulation points from ``b_articulation_points``' core for
-2VC graphs and repairs each in one forward scan of the input's edges, by
-the same kind of test.  Every scan walks edges in canonical order, so
-identical inputs produce identical outputs.
+the current subgraph is always feasible.  A check that holds also vouches
+for the input, a supergraph of what it checked, so algorithm 1's first
+phase checks its input on its own only when the check fails.  Algorithm 1
+takes its first phase's b-articulation points from
+``b_articulation_points``' core for 2VC graphs and repairs each in one
+forward scan of the input's edges, by the same kind of test.  Every scan
+walks edges in canonical order, so identical inputs produce identical
+outputs.
 """
 
 import time
@@ -96,14 +99,17 @@ _2VC = (_floor_2vc, _keeps_2vc, _is_2vc)
 _2VSB = (_floor_2vsb, _keeps_2vsb, _is_2vsb)
 
 
-def _deletion_pass(g: DiGraph, prop, protected=frozenset()) -> DiGraph:
+def _deletion_pass(g: DiGraph, prop, protected=frozenset(),
+                   check_input=None) -> DiGraph:
     """Delete, in canonical order, every unprotected edge whose deletion
     keeps the property ``prop`` (``_2VC`` or ``_2VSB``) of the graph left
     by the deletions before it; build the DiGraph once, at the end.
 
-    The caller guarantees that g has the property.  A first scan deletes
-    every candidate that passes the property's degree floor, and one
-    whole-graph check tests what is left.  If it holds, these are exactly
+    g must have the property.  The caller guarantees it or passes
+    ``check_input``, which is called on g before the per-candidate scan
+    below and only then.  A first scan deletes every candidate that passes
+    the property's degree floor, and one whole-graph check tests what is
+    left.  If it holds, so does g, which contains it, and these are exactly
     the edges the sequential pass deletes, by induction over the scan: a
     floor rejection is a rejection of the local test too, and every graph
     of the sequential pass contains the checked one, so by monotonicity
@@ -117,6 +123,8 @@ def _deletion_pass(g: DiGraph, prop, protected=frozenset()) -> DiGraph:
     floor, keeps, holds = prop
     kept, out_adj, in_adj = _scan(g, floor, protected)
     if not holds(g.n, out_adj, in_adj):
+        if check_input:
+            check_input(g)
         kept = _scan(g, keeps, protected)[0]
     return build(g.n, kept)
 
@@ -148,12 +156,17 @@ def minimal_2vcss(g: DiGraph) -> DiGraph:
     Scans edges in canonical order and deletes each one whose removal keeps
     the graph 2-vertex connected.  Monotonicity of the property under edge
     addition makes the single pass minimal: every surviving edge is
-    individually necessary.  The input check also makes the pass's local
-    test exact.
+    individually necessary.  Raises ``ValueError`` unless g is 2-vertex
+    connected.  The pass's one-shot check, when it holds, vouches for g;
+    otherwise g is checked before the per-candidate scan, whose local test
+    is exact only on a 2-vertex-connected input.
     """
+    return _deletion_pass(g, _2VC, check_input=_require_2vc)
+
+
+def _require_2vc(g: DiGraph) -> None:
     if not is_2vertex_connected(g):
         raise ValueError("input is not 2-vertex connected")
-    return _deletion_pass(g, _2VC)
 
 
 def algorithm1(g: DiGraph, *, precheck: bool = True) -> AlgoResult:

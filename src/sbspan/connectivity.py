@@ -48,16 +48,17 @@ b-articulation points of a 2VC graph for ``b_articulation_points`` and
 algorithm 1 alike, skips it when the underlying graph is 3-connected.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
-cheap in the common cases.  The degree floor rejects first, in O(deg): k
-internally disjoint s-t paths leave s and reach t through k distinct
-neighbours.  Each path is then found by a bidirectional BFS through the
-vertices that no earlier path uses; only when there is none does a BFS over
-the residual graph reroute the paths found so far, and its failure proves
-fewer than k.  ``_keeps_2vsb`` runs one flow for both halves: its two
-directed u->v paths are also two undirected u-v paths, a feasible flow of
-the underlying graph, and augmenting paths reach the maximum from any
-feasible flow (Ford & Fulkerson), so the undirected test continues from
-them and searches for the third path only.
+cheap in the common cases.  The degree floor rejects first, in O(1) while
+u and v each have three out- or three in-neighbours: k internally disjoint
+s-t paths leave s and reach t through k distinct neighbours.  Each path is
+then found by a bidirectional BFS through the vertices that no earlier path
+uses; only when there is none does a BFS over the residual graph reroute
+the paths found so far, and its failure proves fewer than k.
+``_keeps_2vsb`` runs one flow for both halves: its two directed u->v paths
+are also two undirected u-v paths, a feasible flow of the underlying graph,
+and augmenting paths reach the maximum from any feasible flow (Ford &
+Fulkerson), so the undirected test continues from them and searches for
+the third path only.
 
 Algorithm 1's repair asks whether two vertices share a strongly biconnected
 component of G - v, with G 2VC and so G - v strongly connected.  Those are
@@ -474,13 +475,17 @@ def _floor_2vc(out_adj, in_adj, u: int, v: int) -> bool:
 
 
 def _floor_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
-    """Degree floor of ``_keeps_2vsb``, in O(deg): the directed floor and,
-    unless (v, u) is present, three distinct underlying neighbours each for
-    u and v."""
-    return _floor_2vc(out_adj, in_adj, u, v) and (
-        u in out_adj[v]
-        or (len({*out_adj[u], *in_adj[u]}) > 2
-            and len({*out_adj[v], *in_adj[v]}) > 2))
+    """Degree floor of ``_keeps_2vsb``: the directed floor and three
+    distinct underlying neighbours each for u and v.  The directed floor
+    implies the rest when (v, u) is present: u then has v besides its two
+    out-neighbours, and v has u besides its two in-neighbours.  O(1) for a
+    vertex with three out- or three in-neighbours, which are distinct; only
+    a vertex short of both builds a neighbour set."""
+    return (_floor_2vc(out_adj, in_adj, u, v)
+            and (len(out_adj[u]) > 2 or len(in_adj[u]) > 2
+                 or len({*out_adj[u], *in_adj[u]}) > 2)
+            and (len(out_adj[v]) > 2 or len(in_adj[v]) > 2
+                 or len({*out_adj[v], *in_adj[v]}) > 2))
 
 
 def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:

@@ -61,3 +61,14 @@ def dominator_tree_iterative(succ, pred, root: int) -> tuple[int | None, ...]:
     return tuple(
         None if v == root or not seen[v] else idom[v] for v in range(n)
     )
+
+
+def floor_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
+    """Degree floor of the local 2VSB deletion test by its definition, with
+    a neighbour set per end: u keeps two out-neighbours and v two
+    in-neighbours, and unless (v, u) is present, u and v each have three
+    distinct underlying neighbours; same arguments as
+    ``sbspan.connectivity._floor_2vsb``."""
+    return (len(out_adj[u]) > 1 and len(in_adj[v]) > 1
+            and (u in out_adj[v]
+                 or all(len({*out_adj[x], *in_adj[x]}) > 2 for x in (u, v))))

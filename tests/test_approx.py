@@ -42,6 +42,17 @@ class TestMinimal2vcss:
         with pytest.raises(ValueError):
             minimal_2vcss(C4)
 
+    def test_infeasible_input_past_the_degree_floor(self):
+        # two bidirected K4s sharing vertex 0: every degree is at least 3,
+        # but 0 is a strong articulation point
+        g = bidirected(7, [(a, b) for q in ((0, 1, 2, 3), (0, 4, 5, 6))
+                           for i, a in enumerate(q) for b in q[i + 1:]])
+        assert min(map(len, g.out_adj + g.in_adj)) >= 3
+        for solve in (minimal_2vcss, algorithm1,
+                      lambda g: algorithm1(g, precheck=False)):
+            with pytest.raises(ValueError):
+                solve(g)
+
     def test_sap_methods_agree(self):
         # every edge kept by the dominator-based pass is necessary by the
         # brute-force strong-articulation-point definition
@@ -358,3 +369,27 @@ class TestDeletionPass:
         assert {scans for _, scans in branches} == {1, 2}
         for name in ("alg1 phase 1", "alg2", "alg3"):
             assert branches[name, 1] and branches[name, 2], branches
+
+    def test_alg1_checks_its_input_only_when_the_check_fails(self, monkeypatch):
+        # a confirmed one-shot pass vouches for the input; only the
+        # per-candidate scan needs the input's own 2VC check first
+        from collections import Counter
+
+        from sbspan import approx
+
+        scans = _count_scans(monkeypatch)
+        checks = []
+        check = approx.is_2vertex_connected
+
+        def counted(g):
+            checks.append(g)
+            return check(g)
+
+        monkeypatch.setattr(approx, "is_2vertex_connected", counted)
+        seen = Counter()
+        for case, g in _deletion_pass_inputs():
+            del scans[:], checks[:]
+            algorithm1(g, precheck=False)
+            assert len(checks) == len(scans) - 1, case
+            seen[len(scans)] += 1
+        assert set(seen) == {1, 2}, seen

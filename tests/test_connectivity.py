@@ -760,6 +760,44 @@ class TestDisjointPaths:
         assert got is verdict and seen == {verdict: 1}
 
 
+class TestDegreeFloor:
+    def test_floor_2vsb_matches_neighbour_sets(self):
+        from collections import Counter
+
+        from sbspan import GenConfig, generate
+        from sbspan.approx import _scan
+        from sbspan.connectivity import _floor_2vsb
+        from reference import floor_2vsb
+
+        seen = Counter()
+
+        def compare(out_adj, in_adj, u, v):
+            expect = floor_2vsb(out_adj, in_adj, u, v)
+            assert _floor_2vsb(out_adj, in_adj, u, v) == expect, (u, v)
+            seen["verdict", expect] += 1
+            seen["antiparallel", u in out_adj[v]] += 1
+            for x in u, v:
+                if len(out_adj[x]) < 3 and len(in_adj[x]) < 3:
+                    # both lists short: only the set can tell
+                    seen["short", len({*out_adj[x], *in_adj[x]}) > 2] += 1
+            return expect
+
+        graphs = [generate(GenConfig(n=n, seed=seed))
+                  for n in range(4, 16) for seed in range(40)]
+        graphs += [bidirected(n, ladder_pairs(kind, n))
+                   for n in range(6, 31)
+                   for kind in ("prism", "moebius", "squared")
+                   if kind == "squared" or n % 2 == 0]
+        for g in graphs:
+            for e in g.edges:
+                compare(*_deleted_lists(g, e), *e)
+            # the graphs the deletion pass's floor scan walks through, which
+            # need not be feasible
+            _scan(g, compare, frozenset())
+        assert all(seen[key, b] for key in ("verdict", "antiparallel", "short")
+                   for b in (False, True)), seen
+
+
 class TestLocalDeletionTest:
     """The deletion pass's local tests against the definition predicates on
     the graph with the edge deleted, for feasible graphs."""
