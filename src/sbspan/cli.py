@@ -44,7 +44,12 @@ def _fail(message: str) -> int:
 
 
 def _load_graph(path: str) -> DiGraph:
-    return parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: byte {exc.object[exc.start]:#04x} at offset "
+                         f"{exc.start} is not UTF-8 text") from None
+    return parse(text)
 
 
 def _selected_algorithms(raw: str) -> tuple[str, ...]:
@@ -221,8 +226,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for seed in seeds:
                 g, gen_s = _best_of(
                     args.reps, lambda: generate(GenConfig(n=n, seed=seed)))
+                text = serialize(g)
+                _, parse_s = _best_of(args.reps, lambda: parse(text))
                 print(f"bench: n={n} seed={seed} m={g.m}", file=sys.stderr)
-                records += [_solve(g, alg, args.reps, seed=seed, gen_s=gen_s)[1]
+                records += [_solve(g, alg, args.reps, seed=seed, gen_s=gen_s,
+                                   parse_s=parse_s)[1]
                             for alg in algorithms]
         if csv_file:
             csv_file.write("\n".join([CSV_HEADER, *map(_csv_line, records)]) + "\n")
@@ -307,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="repetitions per run; minimum times are reported")
     p_bench.add_argument("--csv", help="write one CSV row per (n, seed, alg) here")
     p_bench.add_argument("--json", help="write one JSON record per "
-                         "(n, seed, alg) with algorithm and verification "
-                         "seconds, plus the platform, here")
+                         "(n, seed, alg) with generation, parse, algorithm "
+                         "and verification seconds, plus the platform, here")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -1,7 +1,12 @@
 """Seeded random 2-vertex strongly biconnected benchmark instances.
 
-Randomness comes from splitmix64 with pinned constants, so a given
-(n, seed) pair yields the same graph, byte for byte, on any platform.
+Randomness comes from splitmix64 (Steele, Lea & Flood 2014) with pinned
+constants, so a given (n, seed) pair yields the same graph, byte for byte,
+on any platform.  Each draw reduces one 64-bit output modulo n (the slight
+modulo bias is accepted).  The step is written out in the draw loop; the
+tests hold the generator against a reference loop in ``tests/reference.py``
+that draws one value per call of ``rng_below``.
+
 Construction draws distinct non-loop edges until min(3n, n(n-1)) exist,
 then keeps adding one edge at a time until the graph is 2-vertex strongly
 biconnected.
@@ -24,24 +29,6 @@ class GenConfig:
     seed: int
 
 
-def rng_next(state: int) -> tuple[int, int]:
-    """One splitmix64 step on a 64-bit int state: new state plus a 64-bit
-    output; the output sequence is a pure function of the state."""
-    state = (state + _GAMMA) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return state, z ^ (z >> 31)
-
-
-def rng_below(s: int, k: int) -> tuple[int, int]:
-    """Next value reduced modulo k (the slight modulo bias is accepted)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    s, value = rng_next(s)
-    return s, value % k
-
-
 def generate(cfg: GenConfig) -> DiGraph:
     """Random 2-vertex strongly biconnected graph for (cfg.n, cfg.seed).
 
@@ -62,8 +49,15 @@ def generate(cfg: GenConfig) -> DiGraph:
     target = min(3 * n, n * (n - 1))
     while len(edges) < target or short or _two_vsb_violation(n, out_adj, in_adj):
         while True:
-            rng, u = rng_below(rng, n)
-            rng, v = rng_below(rng, n)
+            # two splitmix64 steps, each output reduced modulo n
+            z = rng = (rng + _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            u = (z ^ (z >> 31)) % n
+            z = rng = (rng + _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            v = (z ^ (z >> 31)) % n
             if u != v and (u, v) not in seen:
                 break
         seen.add((u, v))

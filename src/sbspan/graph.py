@@ -7,6 +7,7 @@ return new values, so graphs can be shared and hashed; the algorithms'
 deletion pass edits its own copy of the adjacency and builds once.
 """
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -114,6 +115,11 @@ def delete_vertex(g: DiGraph, v: int) -> tuple[DiGraph, dict[int, int]]:
     return build(g.n - 1, kept), mapping
 
 
+# The text ``serialize`` writes: a header and m edge lines, each two runs of
+# ASCII digits joined by one space and ended by one newline.
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def parse(text: str) -> DiGraph:
     """Parse the canonical text format.
 
@@ -122,7 +128,25 @@ def parse(text: str) -> DiGraph:
     "n m" with 1 <= n <= MAX_VERTICES; exactly m data lines "u v" follow.
     Each field is a run of ASCII digits; fields are separated by any
     whitespace.  Raises ParseError with the offending line number.
+
+    Text exactly as ``serialize`` writes it is read in one whole-text pass,
+    whose only per-edge check is ``build``'s.  Every other text, and any
+    text that pass rejects, goes to a line-by-line pass, which alone names
+    the line of an error; the two passes give the same graph or error.
     """
+    if _CANONICAL.fullmatch(text):
+        try:
+            n, m, *ends = map(int, text.split())
+            if 1 <= n <= MAX_VERTICES and len(ends) == 2 * m:
+                it = iter(ends)
+                return build(n, zip(it, it))
+        except ValueError:  # a GraphError, or an int too long to convert
+            pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> DiGraph:
+    """``parse`` one line at a time, naming the line of the first error."""
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()

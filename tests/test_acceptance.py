@@ -29,9 +29,9 @@ from sbspan import (
 )
 from sbspan.connectivity import strong_articulation_points_bruteforce
 from sbspan.oracle import SEARCH_EDGE_LIMIT, exact_min_2vsb
-from sbspan.generator import rng_below
 from sbspan.graph import delete_edge
 from fixtures import BBOWTIE, BK4, DIAMOND
+from reference import rng_below
 
 SIZES = (10, 50, 100)
 SEEDS = (1, 2, 3, 4, 5)

@@ -149,6 +149,15 @@ class TestCheck:
         assert main(["check", "--in", str(tmp_path / "missing.txt")]) == 1
         assert_one_error_line(capsys.readouterr().err)
 
+    def test_non_utf8_byte(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"4 4\n0 1\n1 2\n2 3\n3 \xff0\n")
+        assert main(["check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert str(path) in captured.err and "0xff" in captured.err
+        assert captured.out == ""
+
     def test_bbowtie_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bbowtie.txt", BBOWTIE)
         assert main(["check", "--in", path]) == 0
@@ -273,8 +282,9 @@ class TestBench:
     def test_json_records(self, tmp_path, monkeypatch):
         import json
 
-        # verify_s and gen_s are the least of --reps runs, like elapsed_s
-        calls = {"generate": 0, "is_2v_strongly_biconnected": 0}
+        # verify_s, gen_s and parse_s are the least of --reps runs, like
+        # elapsed_s
+        calls = {"generate": 0, "parse": 0, "is_2v_strongly_biconnected": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(sbspan.cli, name)):
                 calls[_name] += 1
@@ -284,8 +294,10 @@ class TestBench:
         rc = main(["bench", "--sizes", "10,12", "--seeds", "1", "--reps", "2",
                    "--algs", "alg1,alg3", "--csv", str(csv), "--json", str(out)])
         assert rc == 0
-        # two generations per instance, two verifications per record
-        assert calls == {"generate": 2 * 2, "is_2v_strongly_biconnected": 2 * 4}
+        # two generations and parses per instance, two verifications per
+        # record
+        assert calls == {"generate": 2 * 2, "parse": 2 * 2,
+                         "is_2v_strongly_biconnected": 2 * 4}
         doc = json.loads(out.read_text())
         assert doc["reps"] == 2 and doc["cpu_count"] >= 1
         assert doc["platform"] and doc["python_version"]
@@ -298,7 +310,7 @@ class TestBench:
             assert (r["n"], r["m"], r["alg"], r["edges_out"]) == (
                 int(n), int(m), alg, int(edges_out))
             assert r["elapsed_s"] >= 0 and r["verify_s"] >= 0 and r["feasible"]
-            assert r["gen_s"] >= 0
+            assert r["gen_s"] >= 0 and r["parse_s"] >= 0
 
     def test_json_only_writes_no_csv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

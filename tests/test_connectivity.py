@@ -16,11 +16,11 @@ from sbspan.connectivity import (
     strong_articulation_points_bruteforce,
 )
 from sbspan.dominators import dominator_tree
-from sbspan.generator import rng_below
 from sbspan.graph import delete_edge, delete_vertex
 from fixtures import (
     BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8, bidirected, ladder_pairs,
 )
+from reference import rng_below
 
 
 def random_graph(seed, max_n=12, density=3):

@@ -13,10 +13,9 @@ from sbspan import (
 )
 from sbspan.connectivity import strong_articulation_points_bruteforce
 from sbspan.dominators import _nontrivial, dominator_tree, reverse
-from sbspan.generator import rng_below
 from sbspan.graph import delete_vertex
 from fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND, bidirected, ladder_pairs
-from reference import dominator_tree_iterative
+from reference import dominator_tree_iterative, rng_below
 
 
 def random_sc_graph(seed, max_n=30):

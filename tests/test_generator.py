@@ -3,11 +3,12 @@ import hashlib
 import pytest
 
 from sbspan import GenConfig, generate, is_2v_strongly_biconnected, serialize
-from sbspan.generator import rng_below, rng_next
 from fixtures import BK4
+from reference import generate_reference, rng_below, rng_next
 
 
 class TestRng:
+    # the reference splitmix64 that generate's inlined draw loop is held to
     def test_seed_zero_vectors(self):
         s, first = rng_next(0)
         assert first == 0xE220A8397B1DCDAF
@@ -73,6 +74,15 @@ class TestGenerate:
             g = generate(GenConfig(n=n, seed=seed))
             assert g.m >= min(3 * n, n * (n - 1))
             assert is_2v_strongly_biconnected(g)
+
+    def test_matches_reference_loop(self):
+        # the draw loop's inlined splitmix64 steps against one rng_below
+        # call per endpoint
+        for n in range(4, 31):
+            for seed in range(20):
+                g = generate(GenConfig(n=n, seed=seed))
+                ref = generate_reference(n, seed)
+                assert g.edges == ref.edges, (n, seed)
 
     def test_simple_graph_invariants(self):
         g = generate(GenConfig(n=9, seed=5))

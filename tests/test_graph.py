@@ -1,10 +1,16 @@
+import random
+import time
+
 import pytest
 
-from sbspan import GraphError, ParseError, build, parse, serialize
+import sbspan.graph
+from sbspan import (
+    GenConfig, GraphError, ParseError, build, generate, parse, serialize,
+)
 from sbspan.connectivity import _und_adj
-from sbspan.generator import rng_below
-from sbspan.graph import delete_edge, delete_vertex
+from sbspan.graph import MAX_VERTICES, _parse_lines, delete_edge, delete_vertex
 from fixtures import BK4, BOWTIE, C4, OCT8
+from reference import rng_below
 
 
 def random_graph(seed, max_n=12):
@@ -215,3 +221,85 @@ class TestTextFormat:
     def test_duplicate_edge_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse("3 2\n0 1\n0 1\n")
+
+
+def _outcome(parse_fn, text):
+    """What parse_fn makes of text: the graph with its adjacency, or the
+    ParseError's text and line number."""
+    try:
+        g = parse_fn(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+    return g, g.out_adj, g.in_adj
+
+
+def _mutations(text, n):
+    """text and variants of it: each spacing the line pass alone reads, and
+    each error either pass may meet, placed on a middle edge line."""
+    lines = text.splitlines(keepends=True)
+    k = 1 + len(lines) // 2
+    u, v = lines[k].split()
+    head_n, head_m = lines[0].split()
+    rest = "".join(lines[1:])
+
+    def at(new):
+        return "".join(lines[:k] + [new] + lines[k + 1:])
+
+    return {
+        "as-written": text,
+        "comment": at("# note\n" + lines[k]),
+        "blank": at("\n" + lines[k]),
+        "whitespace-only": at(" \t \n" + lines[k]),
+        "crlf": text.replace("\n", "\r\n"),
+        "tab": at(f"{u}\t{v}\n"),
+        "vertical-tab": at(f"{u}\x0b{v}\n"),
+        "no-break-space": at(f"{u}\xa0{v}\n"),
+        "ideographic-space": at(f"{u}\u3000{v}\n"),
+        "no-final-newline": text[:-1],
+        "leading-zeros": at(f"00{u} 0{v}\n"),
+        "plus-sign": at(f"+{u} {v}\n"),
+        "arabic-indic-three": at(f"{u} \u0663\n"),
+        "superscript-two": at(f"{u} \xb2\n"),
+        "three-fields": at(f"{u} {v} 1\n"),
+        "n-zero": f"0 {head_m}\n" + rest,
+        "n-too-large": f"{MAX_VERTICES + 1} {head_m}\n" + rest,
+        "m-too-small": f"{head_n} {int(head_m) - 1}\n" + rest,
+        "m-huge": f"{head_n} {10**12}\n" + rest,
+        "out-of-range": at(f"{u} {n}\n"),
+        "self-loop": at(f"{u} {u}\n"),
+        "duplicate": at(lines[1]),
+    }
+
+
+class TestParsePasses:
+    """``parse`` reads canonical text in one whole-text pass and hands
+    everything else to the line pass; both must agree on every text."""
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["written", "relabeled"])
+    def test_matches_line_pass(self, relabel):
+        for n in range(4, 31):
+            for seed in range(10):
+                g = generate(GenConfig(n=n, seed=seed))
+                if relabel:
+                    rng = random.Random(seed)
+                    label = list(range(n))
+                    rng.shuffle(label)
+                    edges = [(label[a], label[b]) for a, b in g.edges]
+                    rng.shuffle(edges)
+                    g = build(n, edges)
+                for case, text in _mutations(serialize(g), n).items():
+                    t0 = time.perf_counter()
+                    got = _outcome(parse, text)
+                    if case == "m-huge":
+                        # nothing is allocated from the header's edge count
+                        assert time.perf_counter() - t0 < 1.0
+                    assert got == _outcome(_parse_lines, text), (n, seed, case)
+                    if case == "as-written":
+                        assert got[0] == g
+
+    def test_canonical_text_takes_one_pass(self, monkeypatch):
+        def no_line_pass(text):
+            raise AssertionError("line pass called")
+        monkeypatch.setattr(sbspan.graph, "_parse_lines", no_line_pass)
+        assert parse(serialize(OCT8)) == OCT8
+        assert parse("4 4\n0 1\n1 2\n2 3\n3 0\n") == C4
