@@ -16,14 +16,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from .approx import algorithm1, algorithm2, algorithm3
-from .connectivity import (
-    b_articulation_points,
-    is_2v_strongly_biconnected,
-    is_2vertex_connected,
-    is_strongly_biconnected,
-    is_strongly_connected,
-)
-from .dominators import strong_articulation_points_fast
+from .connectivity import _analysis, is_2v_strongly_biconnected
 from .generator import GenConfig, generate
 from .graph import MAX_VERTICES, DiGraph, GraphError, parse, serialize
 from .oracle import SEARCH_EDGE_LIMIT, exact_min_2vsb
@@ -32,6 +25,9 @@ from .oracle import SEARCH_EDGE_LIMIT, exact_min_2vsb
 ALG_ORDER = ("alg2", "alg3", "alg1")
 ALG_FUNCS = {"alg1": algorithm1, "alg2": algorithm2, "alg3": algorithm3}
 CSV_HEADER = "n,m,alg,elapsed_ms,edges_out,feasible"
+# Why check prints n/a for a vertex set.
+NA_REASONS = {"strong_articulation_points": "requires strongly connected, n >= 3",
+              "b_articulation_points": "requires n >= 2"}
 
 
 class UsageError(Exception):
@@ -72,12 +68,6 @@ def _int_list(raw: str, what: str) -> tuple[int, ...]:
         return tuple(int(s) for s in items)
     except ValueError:
         raise UsageError(f"invalid {what} list {raw!r}") from None
-
-
-def _vertex_set_line(label: str, points: set[int] | None, reason: str = "") -> str:
-    if points is None:
-        return f"{label}: n/a ({reason})"
-    return f"{label}: " + (" ".join(map(str, sorted(points))) if points else "none")
 
 
 def _best_of(reps: int, fn):
@@ -162,22 +152,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise UsageError("--minimal requires --subgraph")
     g = _load_graph(args.in_path)
     print(f"n={g.n} m={g.m}")
-    strongly_connected = is_strongly_connected(g)
-    print(f"strongly_connected: {str(strongly_connected).lower()}")
-    print(f"strongly_biconnected: {str(is_strongly_biconnected(g)).lower()}")
-    print(f"2vertex_connected: {str(is_2vertex_connected(g)).lower()}")
-    print(f"2v_strongly_biconnected: {str(is_2v_strongly_biconnected(g)).lower()}")
-    if g.n >= 3 and strongly_connected:
-        saps = strong_articulation_points_fast(g)
-        print(_vertex_set_line("strong_articulation_points", saps))
-    else:
-        print(_vertex_set_line(
-            "strong_articulation_points", None, "requires strongly connected, n >= 3"
-        ))
-    if g.n >= 2:
-        print(_vertex_set_line("b_articulation_points", b_articulation_points(g)))
-    else:
-        print(_vertex_set_line("b_articulation_points", None, "requires n >= 2"))
+    for label, value in _analysis(g).items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif value is None:
+            value = "n/a (" + NA_REASONS[label] + ")"
+        else:
+            value = " ".join(map(str, sorted(value))) or "none"
+        print(f"{label}: {value}")
 
     status = 0
     if args.subgraph:

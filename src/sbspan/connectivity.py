@@ -33,8 +33,9 @@ theorem), which is exact when the graph was feasible before the deletion.
 
 The underlying half, ``_three_connected``, is Hopcroft & Tarjan's (1973)
 separation-pair search with Gutwenger & Mutzel's (2001) corrections, O(n+m):
-a degree check (3 at least) and a lowpoint DFS that rejects a disconnected
-graph or a cut vertex; a bucket sort of each vertex's arcs by Hopcroft &
+a degree check (3 at least) and ``_palm_tree``, the module's one lowpoint
+DFS, which rejects a disconnected graph or a cut vertex and alone decides
+``_biconnected``; a bucket sort of each vertex's arcs by Hopcroft &
 Tarjan's phi; a DFS that renumbers the vertices in that order and finds
 each vertex's first incoming frond; and the path search, which stacks
 candidate type-2 pairs behind end-of-stack markers and stops at the first
@@ -46,6 +47,11 @@ that Gutwenger & Mutzel's extra branches handle.  The per-vertex form, one
 vertices themselves are wanted: ``_b_articulation_points_2vc``, the
 b-articulation points of a 2VC graph for ``b_articulation_points`` and
 algorithm 1 alike, skips it when the underlying graph is 3-connected.
+
+``_analysis`` gives the six verdicts of ``sbspan check`` from one underlying
+adjacency, one pair of dominator trees, whose strong articulation points
+also decide strong connectivity and 2VC, and, for a 2VC graph, one
+separation-pair search, whose b-articulation points then decide 2VSB.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
 cheap in the common cases.  The degree floor rejects first, in O(1) while
@@ -105,40 +111,63 @@ def _biconnected(adj, n: int, skip: int | None = None) -> bool:
     Single-vertex graphs count as biconnected, two-vertex graphs count as
     biconnected exactly when the connecting pair is present.
     """
-    n_eff = n if skip is None else n - 1
-    if n_eff <= 1:
-        return True
+    return n - (skip is not None) <= 1 or _palm_tree(adj, n, skip) is not None
+
+
+def _palm_tree(adj, n: int, skip: int | None = None):
+    """The one lowpoint DFS, treating skip as absent: None when the graph
+    is disconnected or has a cut vertex, else the arrays num (preorder
+    numbers from 1), par (tree parents, -1 at the root), nd (descendant
+    counts), kids (tree arcs out), low1 and low2 (the two lowest numbers a
+    subtree reaches by a frond, a non-tree arc, always to an ancestor).
+    The root is vertex 0, or 1 when 0 is skipped; skip is numbered above
+    every vertex, so its arcs are fronds that change nothing."""
     root = 1 if skip == 0 else 0
-    disc = [0] * n
-    low = [0] * n
-    disc[root] = low[root] = 1
-    timer = 1  # also the number of vertices visited
-    root_children = 0
-    # Each entry (v, parent, it) resumes v's own adjacency iterator.
+    num = [0] * n
+    par = [-1] * n
+    nd = [1] * n
+    kids = [0] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    if skip is not None:
+        num[skip] = n + 1
+    num[root] = low1[root] = low2[root] = visited = 1
     stack = [(root, -1, iter(adj[root]))]
     while stack:
         v, p, it = stack[-1]
         for w in it:
-            if w == skip:
-                continue
-            if disc[w] == 0:
-                timer += 1
-                disc[w] = low[w] = timer
+            x = num[w]
+            if not x:
+                visited += 1
+                num[w] = low1[w] = low2[w] = visited
+                par[w] = v
+                kids[v] += 1
                 stack.append((w, v, iter(adj[w])))
                 break
-            if w != p and disc[w] < low[v]:
-                low[v] = disc[w]
+            # a frond v -> w; one from a descendant (x > num[v] >= low2[v])
+            # or into skip changes nothing
+            if x < low2[v] and w != p:
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif x != low1[v]:
+                    low2[v] = x
         else:
             stack.pop()
-            if p == -1:
+            if p < 0:
                 continue
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if p == root:
-                root_children += 1
-            elif low[v] >= disc[p]:
-                return False
-    return timer == n_eff and root_children < 2
+            nd[p] += nd[v]
+            a, b = low1[v], low2[v]
+            if a < low1[p]:
+                low1[p], low2[p] = a, min(low1[p], b)
+            elif a == low1[p]:
+                low2[p] = min(low2[p], b)
+            elif a < low2[p]:
+                low2[p] = a
+            if p != root and a >= num[p]:  # p is a cut vertex
+                return None
+    if visited < n - (skip is not None) or kids[root] > 1:
+        return None  # disconnected, or a cut root
+    return num, par, nd, kids, low1, low2
 
 
 def _und_adj(out_adj, in_adj) -> list[list[int]]:
@@ -168,54 +197,9 @@ def _three_connected(und, n: int) -> bool:
     iterative, since n can reach ``MAX_VERTICES``.  See the module
     docstring for the steps.
     """
-    if n < 4 or min(map(len, und)) < 3:
+    if n < 4 or min(map(len, und)) < 3 or (tree := _palm_tree(und, n)) is None:
         return False
-    # First DFS, from vertex 0: preorder numbers from 1, tree parents,
-    # descendant counts and lowpt1/lowpt2, the two lowest numbers reached
-    # from a subtree by a frond (a non-tree edge, always to an ancestor).
-    num = [0] * n
-    par = [-1] * n
-    nd = [1] * n
-    kids = [0] * n  # tree arcs out of v
-    low1 = [0] * n
-    low2 = [0] * n
-    num[0] = low1[0] = low2[0] = visited = 1
-    stack = [(0, iter(und[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            x = num[w]
-            if not x:
-                visited += 1
-                num[w] = low1[w] = low2[w] = visited
-                par[w] = v
-                kids[v] += 1
-                stack.append((w, iter(und[w])))
-                break
-            # a frond v -> w; from a descendant, x > num[v] >= low2[v]
-            # changes nothing
-            if w != par[v]:
-                if x < low1[v]:
-                    low1[v], low2[v] = x, low1[v]
-                elif low1[v] < x < low2[v]:
-                    low2[v] = x
-        else:
-            stack.pop()
-            p = par[v]
-            if p < 0:
-                continue
-            nd[p] += nd[v]
-            a, b = low1[v], low2[v]
-            if a < low1[p]:
-                low1[p], low2[p] = a, min(low1[p], b)
-            elif a == low1[p]:
-                low2[p] = min(low2[p], b)
-            elif a < low2[p]:
-                low2[p] = a
-            if p and a >= num[p]:  # p is a cut vertex
-                return False
-    if visited < n or kids[0] > 1:  # disconnected, or a cut root
-        return False
+    num, par, nd, kids, low1, low2 = tree
     # Bucket-sort each vertex's arcs by phi: a tree arc v -> w at
     # 3 lowpt1(w), or 3 lowpt1(w) + 2 if lowpt2(w) >= v; a frond v -> w at
     # 3 w + 1.
@@ -588,13 +572,40 @@ def b_articulation_points(g: DiGraph) -> set[int]:
     """Vertices whose deletion leaves a graph that is not strongly biconnected."""
     if g.n < 2:
         raise ValueError("b-articulation points require n >= 2")
-    out_adj, in_adj, n = g.out_adj, g.in_adj, g.n
+    return _analysis(g)["b_articulation_points"]
+
+
+def _analysis(g: DiGraph) -> dict:
+    """The six verdicts ``sbspan check`` prints, keyed by their labels; a
+    vertex set is None where it is undefined.  A 2VC graph is 2VSB iff
+    n >= 4 and it has no b-articulation point: its underlying graph is
+    biconnected, so a separation pair {a, b}, or a vertex of underlying
+    degree <= 2, leaves a cut vertex in und - a."""
+    from .dominators import _strong_articulation_points
+
+    n, out_adj, in_adj = g.n, g.out_adj, g.in_adj
     und = _und_adj(out_adj, in_adj)
-    if _is_2vc(n, out_adj, in_adj):
-        return _b_articulation_points_2vc(und, n)
-    return {v for v in range(n)
-            if not _strongly_connected(out_adj, in_adj, n, v)
-            or not _biconnected(und, n, v)}
+    saps = _strong_articulation_points(n, out_adj, in_adj) if n >= 3 else None
+    strongly_connected = (saps is not None if n >= 3
+                          else _strongly_connected(out_adj, in_adj, n))
+    # with n >= 3 and no strong articulation point, in/out-degree >= 2: a
+    # vertex's one out- or in-neighbour would be such a point
+    two_vc = saps == set()
+    if two_vc:
+        baps = _b_articulation_points_2vc(und, n)
+    else:  # cut: the v for which G - v is not strongly connected
+        cut = saps if saps is not None else {
+            v for v in range(n) if not _strongly_connected(out_adj, in_adj, n, v)}
+        baps = cut | {v for v in range(n)
+                      if v not in cut and not _biconnected(und, n, v)}
+    return {
+        "strongly_connected": strongly_connected,
+        "strongly_biconnected": strongly_connected and _biconnected(und, n),
+        "2vertex_connected": two_vc,
+        "2v_strongly_biconnected": two_vc and n >= 4 and not baps,
+        "strong_articulation_points": saps,
+        "b_articulation_points": baps if n >= 2 else None,
+    }
 
 
 def _sbcc_comembership(g: DiGraph) -> tuple[tuple[int, ...], list[list[int]]]:

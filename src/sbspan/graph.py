@@ -72,17 +72,18 @@ def build(n: int, edge_list) -> DiGraph:
             raise GraphError(f"edge ({u}, {v}) endpoint out of range [0, {n})")
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
-        if (u, v) in seen:
+        e = (u, v)
+        if e in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
+        seen.add(e)
+        edges.append(e)
         out_adj[u].append(v)
         in_adj[v].append(u)
     return DiGraph(
         n=n,
         edges=tuple(edges),
-        out_adj=tuple(tuple(a) for a in out_adj),
-        in_adj=tuple(tuple(a) for a in in_adj),
+        out_adj=tuple(map(tuple, out_adj)),
+        in_adj=tuple(map(tuple, in_adj)),
         edge_set=frozenset(seen),
     )
 
@@ -126,8 +127,8 @@ def parse(text: str) -> DiGraph:
     Lines starting with '#' are comments, and blank or whitespace-only
     lines are ignored; both may appear anywhere.  The first data line is
     "n m" with 1 <= n <= MAX_VERTICES; exactly m data lines "u v" follow.
-    Each field is a run of ASCII digits; fields are separated by any
-    whitespace.  Raises ParseError with the offending line number.
+    Fields are runs of ASCII digits, at most 20 past any leading zeros,
+    separated by any whitespace.  Raises ParseError naming the line.
 
     Text exactly as ``serialize`` writes it is read in one whole-text pass,
     whose only per-edge check is ``build``'s.  Every other text, and any
@@ -156,7 +157,11 @@ def _parse_lines(text: str) -> DiGraph:
             continue
         if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
             raise ParseError(line_no, f"expected two decimal integers, got {raw!r}")
-        a, b = int(parts[0]), int(parts[1])
+        fields = [t.lstrip("0") or "0" for t in parts]
+        longest = max(map(len, fields))  # no valid count has 21 digits
+        if longest > 20:
+            raise ParseError(line_no, f"{longest}-digit number exceeds 20 digits")
+        a, b = map(int, fields)
         if header is None:
             if a < 1:
                 raise ParseError(line_no, f"invalid header {raw!r}")

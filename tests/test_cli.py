@@ -8,7 +8,9 @@ import pytest
 import sbspan
 from sbspan import parse, serialize
 from sbspan.cli import main
-from fixtures import BBOWTIE, BK4, C4, OCT8
+from fixtures import (
+    BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8, bidirected, ladder_pairs,
+)
 
 
 def write_graph(tmp_path, name, g):
@@ -158,6 +160,34 @@ class TestCheck:
         assert str(path) in captured.err and "0xff" in captured.err
         assert captured.out == ""
 
+    def test_long_number(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text("4 1\n0 " + "7" * 5000 + "\n")
+        assert main(["check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert "line 2" in captured.err and "5000-digit" in captured.err
+        assert captured.out == ""
+
+    def test_builds_each_structure_once(self, tmp_path, capsys, monkeypatch):
+        from sbspan import GenConfig, connectivity, dominators, generate
+
+        path = write_graph(tmp_path, "g.txt", generate(GenConfig(n=60, seed=1)))
+        calls = dict.fromkeys(["dominator_tree", "_three_connected",
+                               "_und_adj", "_reached"], 0)
+        for module, name in ((dominators, "dominator_tree"),
+                             (connectivity, "_three_connected"),
+                             (connectivity, "_und_adj"),
+                             (connectivity, "_reached")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["check", "--in", path]) == 0
+        assert "2v_strongly_biconnected: true" in capsys.readouterr().out
+        assert calls == {"dominator_tree": 2, "_three_connected": 1,
+                         "_und_adj": 1, "_reached": 2}
+
     def test_bbowtie_report(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bbowtie.txt", BBOWTIE)
         assert main(["check", "--in", path]) == 0
@@ -233,6 +263,98 @@ class TestCheck:
         path = write_graph(tmp_path, "big.txt", big)
         assert main(["check", "--in", path, "--exact"]) != 0
         assert "m <= 24" in capsys.readouterr().err
+
+
+def _expected_verdicts(g):
+    """``_analysis(g)`` from the public predicates and the definition-level
+    references."""
+    from sbspan import (
+        is_2v_strongly_biconnected, is_2vertex_connected,
+        is_strongly_biconnected, is_strongly_connected,
+    )
+    from sbspan.connectivity import strong_articulation_points_bruteforce
+    from sbspan.graph import delete_vertex
+
+    sc = is_strongly_connected(g)
+    return {
+        "strongly_connected": sc,
+        "strongly_biconnected": is_strongly_biconnected(g),
+        "2vertex_connected": is_2vertex_connected(g),
+        "2v_strongly_biconnected": is_2v_strongly_biconnected(g),
+        "strong_articulation_points": (
+            strong_articulation_points_bruteforce(g) if g.n >= 3 and sc else None),
+        "b_articulation_points": {
+            v for v in range(g.n)
+            if not is_strongly_biconnected(delete_vertex(g, v)[0])
+        } if g.n >= 2 else None,
+    }
+
+
+def _check_lines(g, verdicts):
+    """What ``check`` prints for g with these verdicts."""
+    reasons = {"strong_articulation_points": "requires strongly connected, n >= 3",
+               "b_articulation_points": "requires n >= 2"}
+    lines = [f"n={g.n} m={g.m}"]
+    for label, value in verdicts.items():
+        if isinstance(value, bool):
+            text = str(value).lower()
+        elif value is None:
+            text = f"n/a ({reasons[label]})"
+        else:
+            text = " ".join(map(str, sorted(value))) or "none"
+        lines.append(f"{label}: {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_samples():
+    """Random digraphs at n = 2..12 and every density, the fixtures, the
+    ladders, and graphs that are 2VC but not 2VSB or not 2VC at all."""
+    import random
+
+    from sbspan import GenConfig, build, generate, minimal_2vcss
+
+    rnd = random.Random(21)
+    for n in range(2, 13):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for m in range(0, len(pairs) + 1, max(1, len(pairs) // 12)):
+            for _ in range(3):
+                yield build(n, rnd.sample(pairs, m))
+    yield from (build(1, []), C4, BK4, OCT8, BOWTIE, BBOWTIE, DIAMOND, CHAIN4)
+    for n in range(6, 13):
+        for kind in ("prism", "moebius", "squared"):
+            if kind == "squared" or n % 2 == 0:
+                yield bidirected(n, ladder_pairs(kind, n))
+        # the squared cycle without three edges into 0: not 2VC
+        sq = bidirected(n, ladder_pairs("squared", n))
+        yield build(n, [e for e in sq.edges
+                        if e not in ((1, 0), (2, 0), (n - 1, 0))])
+    # the bidirected triangle and algorithm 1's first phases: 2VC, and
+    # often not 2VSB
+    yield bidirected(3, [(0, 1), (1, 2), (2, 0)])
+    for n in range(5, 13):
+        for seed in range(5):
+            yield minimal_2vcss(generate(GenConfig(n=n, seed=seed)))
+
+
+class TestCheckVerdicts:
+    """``check``'s six lines, read from ``_analysis``, against the public
+    predicates and the definition-level references."""
+
+    def test_matches_predicates(self, tmp_path, capsys):
+        from sbspan.connectivity import _analysis
+
+        kinds = set()
+        for i, g in enumerate(_check_samples()):
+            expect = _expected_verdicts(g)
+            assert _analysis(g) == expect, serialize(g)
+            kinds.add(tuple(expect.values())[:4])
+            path = write_graph(tmp_path, f"g{i}.txt", g)
+            assert main(["check", "--in", path]) == 0
+            assert capsys.readouterr().out == _check_lines(g, expect), serialize(g)
+        # every reachable combination of the four boolean verdicts
+        assert kinds == {(False, False, False, False), (True, False, False, False),
+                         (True, True, False, False), (True, True, True, False),
+                         (True, True, True, True)}
 
 
 class TestBench:

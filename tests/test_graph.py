@@ -268,6 +268,11 @@ def _mutations(text, n):
         "out-of-range": at(f"{u} {n}\n"),
         "self-loop": at(f"{u} {u}\n"),
         "duplicate": at(lines[1]),
+        # more digits than int() converts by default, with and without a
+        # value: a zero-padded field is its value
+        "long-endpoint": at(f"{u} {'9' * 5000}\n"),
+        "long-header": f"{head_n} {'9' * 5000}\n" + rest,
+        "zero-padded": at(f"{u} {v.zfill(5001)}\n"),
     }
 
 
@@ -294,7 +299,7 @@ class TestParsePasses:
                         # nothing is allocated from the header's edge count
                         assert time.perf_counter() - t0 < 1.0
                     assert got == _outcome(_parse_lines, text), (n, seed, case)
-                    if case == "as-written":
+                    if case in ("as-written", "zero-padded"):
                         assert got[0] == g
 
     def test_canonical_text_takes_one_pass(self, monkeypatch):
