@@ -19,17 +19,17 @@ the current subgraph is always feasible.  A check that holds also vouches
 for the input, a supergraph of what it checked, so algorithm 1's first
 phase checks its input on its own only when the check fails.  Algorithm 1
 takes its first phase's b-articulation points from
-``b_articulation_points``' core for 2VC graphs and repairs each in one
-forward scan of the input's edges, by the same kind of test.  Every scan
-walks edges in canonical order, so identical inputs produce identical
-outputs.
+``b_articulation_points``' core, which ``sbspan check`` also runs, and
+repairs each in one forward scan of the input's edges, by the same kind
+of test.  Every scan walks edges in canonical order, so identical inputs
+produce identical outputs.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from .connectivity import (
-    _b_articulation_points_2vc,
+    _b_articulation_points,
     _biconnected,
     _disjoint_paths,
     _floor_2vc,
@@ -182,7 +182,7 @@ def _alg1(g: DiGraph):
     gplus = minimal_2vcss(g)
     n = gplus.n
     und = _und_adj(gplus.out_adj, gplus.in_adj)
-    bap = frozenset(_b_articulation_points_2vc(und, n))
+    bap = frozenset(_b_articulation_points(und, n))
     added: list[Edge] = []
     for v in sorted(bap):
         # gplus - v stays strongly connected, so v is a b-articulation point

@@ -43,15 +43,20 @@ type-1 or type-2 separation pair.  It requires a simple graph, which
 ``_und_adj`` gives by merging antiparallel edges; with minimum degree 3 that
 rules out, before the first pair, the degree-2 vertices and doubled edges
 that Gutwenger & Mutzel's extra branches handle.  The per-vertex form, one
-``_biconnected`` DFS per deleted vertex, remains where the separating
-vertices themselves are wanted: ``_b_articulation_points_2vc``, the
-b-articulation points of a 2VC graph for ``b_articulation_points`` and
-algorithm 1 alike, skips it when the underlying graph is 3-connected.
+``_biconnected`` DFS per deleted vertex, remains only where the separating
+vertices themselves are wanted and the underlying graph is not 3-connected:
+``_b_articulation_points``, for ``b_articulation_points`` and algorithm 1
+alike, adds those vertices to the ones whose deletion breaks strong
+connectivity, since G - v is strongly biconnected iff it is strongly
+connected and the underlying graph minus v is biconnected.
 
 ``_analysis`` gives the six verdicts of ``sbspan check`` from one underlying
 adjacency, one pair of dominator trees, whose strong articulation points
-also decide strong connectivity and 2VC, and, for a 2VC graph, one
-separation-pair search, whose b-articulation points then decide 2VSB.
+also decide strong connectivity and 2VC, and one ``_b_articulation_points``
+call, whose answer then decides 2VSB for a 2VC graph.  When G is not
+strongly connected (n >= 3), G - v can be so only if {v} and the rest are
+G's two SCCs; then v alone lacks all in- or all out-edges, so one search
+decides the one candidate.
 
 Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
 cheap in the common cases.  The degree floor rejects first, in O(1) while
@@ -312,12 +317,12 @@ def _three_connected(und, n: int) -> bool:
     return True
 
 
-def _b_articulation_points_2vc(und, n: int) -> set[int]:
-    """The b-articulation points of a 2VC graph with underlying adjacency
-    ``und``: G - v stays strongly connected, so those v for which und - v is
-    not biconnected, and none when und is 3-connected (G is then 2VSB)."""
-    return set() if _three_connected(und, n) else {
-        v for v in range(n) if not _biconnected(und, n, v)}
+def _b_articulation_points(und, n: int, cut=frozenset()) -> set[int]:
+    """The b-articulation points of G, whose underlying adjacency is
+    ``und``: ``cut``, the v for which G - v is not strongly connected, plus
+    the v for which und - v is not biconnected (none if und is 3-connected)."""
+    return set(cut) if _three_connected(und, n) else {
+        v for v in range(n) if v in cut or not _biconnected(und, n, v)}
 
 
 def _two_vsb_violation(n: int, out_adj, in_adj) -> bool:
@@ -591,13 +596,18 @@ def _analysis(g: DiGraph) -> dict:
     # with n >= 3 and no strong articulation point, in/out-degree >= 2: a
     # vertex's one out- or in-neighbour would be such a point
     two_vc = saps == set()
-    if two_vc:
-        baps = _b_articulation_points_2vc(und, n)
-    else:  # cut: the v for which G - v is not strongly connected
-        cut = saps if saps is not None else {
-            v for v in range(n) if not _strongly_connected(out_adj, in_adj, n, v)}
-        baps = cut | {v for v in range(n)
-                      if v not in cut and not _biconnected(und, n, v)}
+    cut = saps  # the v for which G - v is not strongly connected
+    if n < 3:
+        cut = set()  # G - v has one vertex at most
+    elif cut is None:
+        # G is not strongly connected, so G - v is only if {v} and V - v are
+        # G's two SCCs: then v lacks all in- or all out-edges, and no other
+        # vertex does, as V - v has two vertices or more
+        ends = [v for v in range(n) if not out_adj[v] or not in_adj[v]]
+        cut = set(range(n))
+        if len(ends) == 1 and _strongly_connected(out_adj, in_adj, n, ends[0]):
+            cut.remove(ends[0])
+    baps = _b_articulation_points(und, n, cut)
     return {
         "strongly_connected": strongly_connected,
         "strongly_biconnected": strongly_connected and _biconnected(und, n),

@@ -45,11 +45,15 @@ class DiGraph:
     edges: tuple[Edge, ...]
     out_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     in_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    edge_set: frozenset[Edge] = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        """The edges as a set, built on each read."""
+        return frozenset(self.edges)
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self.n}, m={self.m})"
@@ -84,7 +88,6 @@ def build(n: int, edge_list) -> DiGraph:
         edges=tuple(edges),
         out_adj=tuple(map(tuple, out_adj)),
         in_adj=tuple(map(tuple, in_adj)),
-        edge_set=frozenset(seen),
     )
 
 
@@ -94,7 +97,7 @@ def delete_edge(g: DiGraph, e: Edge) -> DiGraph:
     Raises GraphError if e is not present.
     """
     e = (e[0], e[1])
-    if e not in g.edge_set:
+    if e not in g.edges:
         raise GraphError(f"edge {e} not present")
     return build(g.n, (x for x in g.edges if x != e))
 
@@ -146,6 +149,12 @@ def parse(text: str) -> DiGraph:
     return _parse_lines(text)
 
 
+def _quote(raw: str) -> str:
+    """repr(raw) cut to 60 characters, so an error stays one short line."""
+    text = repr(raw)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _parse_lines(text: str) -> DiGraph:
     """``parse`` one line at a time, naming the line of the first error."""
     header: tuple[int, int] | None = None
@@ -156,7 +165,7 @@ def _parse_lines(text: str) -> DiGraph:
         if not parts or raw.startswith("#"):
             continue
         if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
-            raise ParseError(line_no, f"expected two decimal integers, got {raw!r}")
+            raise ParseError(line_no, f"expected two decimal integers, got {_quote(raw)}")
         fields = [t.lstrip("0") or "0" for t in parts]
         longest = max(map(len, fields))  # no valid count has 21 digits
         if longest > 20:
@@ -164,7 +173,7 @@ def _parse_lines(text: str) -> DiGraph:
         a, b = map(int, fields)
         if header is None:
             if a < 1:
-                raise ParseError(line_no, f"invalid header {raw!r}")
+                raise ParseError(line_no, f"invalid header {_quote(raw)}")
             if a > MAX_VERTICES:
                 raise ParseError(line_no, f"vertex count {a} exceeds {MAX_VERTICES}")
             header = (a, b)

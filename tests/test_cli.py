@@ -169,6 +169,44 @@ class TestCheck:
         assert "line 2" in captured.err and "5000-digit" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["4 1\n0 " + "9" * 100_000 + "x\n",
+                                      "0 " + "0" * 100_000 + "\n"],
+                             ids=["edge", "header"])
+    def test_long_malformed_line_is_cut(self, tmp_path, capsys, text):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        assert main(["check", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err)
+        assert len(captured.err) < 120, len(captured.err)
+        assert captured.out == ""
+
+    def test_non_2vc_work_does_not_grow(self, tmp_path, capsys, monkeypatch):
+        """The bidirected squared cycle without (1, 0), (2, 0) and (n-1, 0),
+        and without every edge into 0: as many lowpoint DFSs and
+        reachability searches at n = 400 as at n = 200."""
+        from sbspan import build, connectivity
+
+        calls = {}
+        for name in ("_palm_tree", "_reached"):
+            def counted(*args, _name=name, _fn=getattr(connectivity, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(connectivity, name, counted)
+        counts = []
+        for n in (200, 400):
+            sq = bidirected(n, ladder_pairs("squared", n))
+            for drop, baps in (({(1, 0), (2, 0), (n - 1, 0)}, str(n - 2)),
+                               ({(v, 0) for v in range(n)},
+                                " ".join(map(str, range(1, n))))):
+                calls.update(_palm_tree=0, _reached=0)
+                path = write_graph(tmp_path, "g.txt", build(
+                    n, [e for e in sq.edges if e not in drop]))
+                assert main(["check", "--in", path]) == 0
+                assert f"b_articulation_points: {baps}\n" in capsys.readouterr().out
+                counts.append(dict(calls))
+        assert counts[:2] == counts[2:], counts
+
     def test_builds_each_structure_once(self, tmp_path, capsys, monkeypatch):
         from sbspan import GenConfig, connectivity, dominators, generate
 
@@ -324,10 +362,26 @@ def _check_samples():
         for kind in ("prism", "moebius", "squared"):
             if kind == "squared" or n % 2 == 0:
                 yield bidirected(n, ladder_pairs(kind, n))
-        # the squared cycle without three edges into 0: not 2VC
+        # the squared cycle without three edges into 0: not 2VC; without
+        # every edge into 0, into 0 and n // 2, or out of 0: not strongly
+        # connected, with one source, two sources, or one sink
         sq = bidirected(n, ladder_pairs("squared", n))
         yield build(n, [e for e in sq.edges
                         if e not in ((1, 0), (2, 0), (n - 1, 0))])
+        yield build(n, [e for e in sq.edges if e[1] != 0])
+        yield build(n, [e for e in sq.edges if e[1] not in (0, n // 2)])
+        yield build(n, [e for e in sq.edges if e[0] != 0])
+        # a source into two bidirected paths joined by one edge: deleting
+        # the source leaves a graph that is not strongly connected either
+        k = n // 2
+        yield build(n, [(0, 1), (k - 1, k)] + list(bidirected(n, [
+            (i, i + 1) for i in range(1, n - 1) if i != k - 1]).edges))
+        # an isolated vertex beside a bidirected cycle
+        yield bidirected(n, [(i, i % (n - 1) + 1) for i in range(1, n)])
+    # every graph on 3 vertices, most of them not strongly connected
+    pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
+    for mask in range(1 << len(pairs)):
+        yield build(3, [e for i, e in enumerate(pairs) if mask >> i & 1])
     # the bidirected triangle and algorithm 1's first phases: 2VC, and
     # often not 2VSB
     yield bidirected(3, [(0, 1), (1, 2), (2, 0)])
