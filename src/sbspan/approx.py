@@ -7,22 +7,10 @@ spanning subgraphs.
 * ``algorithm3``: protect a greedy degree cover, then delete everything else
   that can go.
 
-All three enter through ``_entry`` (input check, timer, result) and share
-one edge-deletion pass over mutable adjacency, differing only in the
-property a deletion must keep and the edges it may not touch.  The pass
-first deletes every candidate that passes the property's degree floor and
-confirms the result with one whole-graph check; since the property is
-monotone under adding edges, that confirms every deletion of the
-sequential pass at once.  Only when the check fails is each candidate
-judged by a local disjoint-paths test of the deleted edge, exact because
-the current subgraph is always feasible.  A check that holds also vouches
-for the input, a supergraph of what it checked, so algorithm 1's first
-phase checks its input on its own only when the check fails.  Algorithm 1
-takes its first phase's b-articulation points from
-``b_articulation_points``' core, which ``sbspan check`` also runs, and
-repairs each in one forward scan of the input's edges, by the same kind
-of test.  Every scan walks edges in canonical order, so identical inputs
-produce identical outputs.
+All three enter through ``_entry`` and share one edge-deletion pass,
+``_deletion_pass``, whose docstring says how a deletion is judged.  Every
+scan walks edges in canonical order, so identical inputs produce identical
+outputs.
 """
 
 import time
@@ -54,16 +42,19 @@ class RepairLoopStalled(RuntimeError):
 class AlgoTrace:
     """Counters recorded while an algorithm runs.
 
-    ``l_bap_count``/``bap_set`` describe the b-articulation points of
-    algorithm 1's first-phase subgraph; the other counters apply where the
-    relevant algorithm says so.
+    ``bap_set`` holds the b-articulation points of algorithm 1's
+    first-phase subgraph, and ``l_bap_count`` counts them; the other
+    counters apply where the relevant algorithm says so.
     """
 
-    l_bap_count: int = 0
     bap_set: frozenset[int] = frozenset()
     edges_added: int = 0
     edges_removed: int = 0
     phase1_size: int = 0
+
+    @property
+    def l_bap_count(self) -> int:
+        return len(self.bap_set)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,8 +197,7 @@ def _alg1(g: DiGraph):
                 f"no candidate edge separates components around vertex {v}")
     if added:
         gplus = build(n, (*gplus.edges, *added))
-    return gplus, AlgoTrace(l_bap_count=len(bap), bap_set=bap,
-                            edges_added=len(added))
+    return gplus, AlgoTrace(bap_set=bap, edges_added=len(added))
 
 
 def algorithm2(g: DiGraph, *, precheck: bool = True) -> AlgoResult:

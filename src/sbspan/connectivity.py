@@ -3,18 +3,13 @@
 Covers strong connectivity, biconnectivity of the underlying undirected
 graph, strong biconnectivity (both at once), the 2-vertex variants obtained
 by requiring the property to survive every single-vertex deletion, and
-b-articulation points.  The reference routines that the tests hold the fast
-paths against follow their definitions through ``_reached``, the one
-reachability DFS, with no lowpoint DFS or flow: ``scc`` by mutual
-reachability, strong articulation points by deleting each vertex, and
-strongly-biconnected-component co-membership (``same_sbcc``) by Menger.
-
-Every public predicate is a pure function of an immutable graph and unwraps
-an underscore core over ``(n, out_adj, in_adj)`` adjacency, which also
-accepts mutable lists.  The per-vertex deletion checks run DFS cores that
-treat one vertex as absent instead of materializing each deleted graph; the
-semantics are identical to composing ``delete_vertex`` with the whole-graph
-predicates (the test suite checks this equivalence on random instances).
+b-articulation points.  Every public predicate is a pure function of an
+immutable graph and unwraps an underscore core over ``(n, out_adj,
+in_adj)`` adjacency, which also accepts mutable lists.  The per-vertex
+deletion checks run DFS cores that treat one vertex as absent (``skip``)
+instead of materializing each deleted graph; the semantics are identical
+to composing ``delete_vertex`` with the whole-graph predicates (the test
+suite checks this equivalence on random instances).
 
 2-vertex strong biconnectivity (2VSB) is checked in one form everywhere: a
 graph with n >= 4 is 2VSB exactly when it is 2-vertex connected (2VC:
@@ -23,60 +18,15 @@ trees) and its underlying graph is 3-vertex connected (still biconnected
 after deleting any one vertex).  This follows from the definition because
 G - v is strongly connected for every v iff G is 2VC, and the underlying
 graph of G - v is the underlying graph of G minus v.  ``_two_vsb_violation``
-decides it for a whole graph, and ``_is_2vc`` the directed half.  The
-deletion pass in ``approx`` runs one of these on the graph left once every
-candidate that passes the degree floor (``_floor_2vc``/``_floor_2vsb``) is
-deleted.  Only when that check fails does it judge each candidate edge
-locally: ``_keeps_2vc``/``_keeps_2vsb`` apply the same floor, then count
-internally vertex-disjoint paths between the edge's endpoints (Menger's
-theorem), which is exact when the graph was feasible before the deletion.
+decides it for a whole graph, ``_keeps_2vc``/``_keeps_2vsb`` for one edge
+deletion.
 
-The underlying half, ``_three_connected``, is Hopcroft & Tarjan's (1973)
-separation-pair search with Gutwenger & Mutzel's (2001) corrections, O(n+m):
-a degree check (3 at least) and ``_palm_tree``, the module's one lowpoint
-DFS, which rejects a disconnected graph or a cut vertex and alone decides
-``_biconnected``; a bucket sort of each vertex's arcs by Hopcroft &
-Tarjan's phi; a DFS that renumbers the vertices in that order and finds
-each vertex's first incoming frond; and the path search, which stacks
-candidate type-2 pairs behind end-of-stack markers and stops at the first
-type-1 or type-2 separation pair.  It requires a simple graph, which
-``_und_adj`` gives by merging antiparallel edges; with minimum degree 3 that
-rules out, before the first pair, the degree-2 vertices and doubled edges
-that Gutwenger & Mutzel's extra branches handle.  The per-vertex form, one
-``_biconnected`` DFS per deleted vertex, remains only where the separating
-vertices themselves are wanted and the underlying graph is not 3-connected:
-``_b_articulation_points``, for ``b_articulation_points`` and algorithm 1
-alike, adds those vertices to the ones whose deletion breaks strong
-connectivity, since G - v is strongly biconnected iff it is strongly
-connected and the underlying graph minus v is biconnected.
-
-``_analysis`` gives the six verdicts of ``sbspan check`` from one underlying
-adjacency, one pair of dominator trees, whose strong articulation points
-also decide strong connectivity and 2VC, and one ``_b_articulation_points``
-call, whose answer then decides 2VSB for a 2VC graph.  When G is not
-strongly connected (n >= 3), G - v can be so only if {v} and the rest are
-G's two SCCs; then v alone lacks all in- or all out-edges, so one search
-decides the one candidate.
-
-Each local verdict is one unit-capacity max flow, ``_disjoint_paths``,
-cheap in the common cases.  The degree floor rejects first, in O(1) while
-u and v each have three out- or three in-neighbours: k internally disjoint
-s-t paths leave s and reach t through k distinct neighbours.  Each path is
-then found by a bidirectional BFS through the vertices that no earlier path
-uses; only when there is none does a BFS over the residual graph reroute
-the paths found so far, and its failure proves fewer than k.
-``_keeps_2vsb`` runs one flow for both halves: its two directed u->v paths
-are also two undirected u-v paths, a feasible flow of the underlying graph,
-and augmenting paths reach the maximum from any feasible flow (Ford &
-Fulkerson), so the undirected test continues from them and searches for
-the third path only.
-
-Algorithm 1's repair asks whether two vertices share a strongly biconnected
-component of G - v, with G 2VC and so G - v strongly connected.  Those are
-the blocks of G - v's underlying graph, and two non-adjacent vertices share
-a block iff two internally disjoint paths join them (``_disjoint_paths``).
-Blocks only merge as edges are added, so the repair scans the input's
-edges once, forward, per b-articulation point.
+Each step is explained where it is done: the underlying half in O(n+m) in
+``_three_connected``, the one-deletion test in ``_keeps_2vsb`` and
+``_disjoint_paths``, the verdicts of ``sbspan check`` in ``_analysis``, and
+algorithm 1's repair in ``approx._alg1``.  ``scc``,
+``strong_articulation_points_bruteforce`` and ``same_sbcc`` are the
+definition-level references that the tests hold the fast paths against.
 """
 
 from .graph import DiGraph
@@ -199,8 +149,11 @@ def _three_connected(und, n: int) -> bool:
     Requires a simple graph (no loops, no repeated pairs), as ``_und_adj``
     gives.  Hopcroft & Tarjan's (1973) separation-pair search with Gutwenger
     & Mutzel's (2001) corrections, stopped at the first pair: O(n+m), and
-    iterative, since n can reach ``MAX_VERTICES``.  See the module
-    docstring for the steps.
+    iterative, since n can reach ``MAX_VERTICES``.  A degree check and
+    ``_palm_tree`` reject a vertex of degree < 3, a disconnected graph and
+    a cut vertex; then each vertex's arcs are bucket-sorted by phi, the
+    vertices renumbered in that order, and the path search stops at the
+    first type-1 or type-2 separation pair.
     """
     if n < 4 or min(map(len, und)) < 3 or (tree := _palm_tree(und, n)) is None:
         return False
@@ -240,13 +193,10 @@ def _three_connected(und, n: int) -> bool:
         else:
             stack.pop()
             m -= 1
-    # From here on every number is a new one: lowpoints translated, and
-    # the parent of the vertex numbered b is numbered father[b].
+    # From here on every number is a new one: lowpoints translated.
     renum = [0] * (n + 1)
-    father = [0] * (n + 1)
     for v in range(1, n):
         renum[num[v]] = new[v]
-        father[new[v]] = new[par[v]]
     renum[1] = 1
     low1 = [renum[x] for x in low1]
     low2 = [renum[x] for x in low2]
@@ -296,11 +246,15 @@ def _three_connected(und, n: int) -> bool:
             # back from the tree arc v -> w
             w, v = v, stack[-1][0]
             nv = new[v]
-            # type-2 pair {v, b}, unless b is v's child
-            while nv != 1 and tstack[-1][1] == nv:
-                if father[tstack[-1][2]] != nv:
-                    return False
-                tstack.pop()
+            # type-2 pair {v, b}.  Hopcroft & Tarjan pop the triple instead
+            # when b is a child c of v, but no such triple gets here.  Only
+            # c's own push at a tree arc c -> x with low1[x] = v makes one (a
+            # frond c -> v would double the tree arc, and pops stop at eos),
+            # and back at c from x, low2[x] >= c > low1[x]: the type-1 test
+            # below returned False then, unless v is the root, where this
+            # test is skipped.
+            if nv != 1 and tstack[-1][1] == nv:
+                return False
             # type-1 pair {lowpt1(w), v}: w's subtree hangs on those two, and
             # more is left unless v is the root's child and w its last one
             if low2[w] >= nv > low1[w] and (par[v] or kids[v]):
@@ -582,7 +536,10 @@ def b_articulation_points(g: DiGraph) -> set[int]:
 
 def _analysis(g: DiGraph) -> dict:
     """The six verdicts ``sbspan check`` prints, keyed by their labels; a
-    vertex set is None where it is undefined.  A 2VC graph is 2VSB iff
+    vertex set is None where it is undefined.  They come from one
+    underlying adjacency, one pair of dominator trees, whose strong
+    articulation points also decide strong connectivity and 2VC, and one
+    ``_b_articulation_points`` call.  A 2VC graph is 2VSB iff
     n >= 4 and it has no b-articulation point: its underlying graph is
     biconnected, so a separation pair {a, b}, or a vertex of underlying
     degree <= 2, leaves a cut vertex in und - a."""

@@ -57,8 +57,6 @@ def exact_min_2vsb(g: DiGraph) -> ExactResult:
     def search(next_i: int, remaining: int) -> bool:
         if remaining == 0:
             return not _two_vsb_violation(n, out_adj, in_adj)
-        if m - next_i < remaining:
-            return False
         so, si = suf_out[next_i], suf_in[next_i]
         out_deficit = 0
         in_deficit = 0

@@ -52,3 +52,11 @@ def ladder_pairs(kind, n):
         return ([(i, (i + 1) % n) for i in range(n)]
                 + [(i, i + k) for i in range(k)])
     return [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+
+
+# Bidirected: two diamonds (K4 minus an edge) on {0, 1, 2, 3} and
+# {2, 3, 4, 5}, glued on their degree-2 vertices 2 and 3.  2VC, and the
+# underlying graph has minimum degree 3 and the one separation pair {2, 3},
+# which ``_three_connected`` finds by its type-2 test.
+TWO_DIAMONDS = bidirected(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                              (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])

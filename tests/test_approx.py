@@ -91,7 +91,7 @@ def _definition_level_alg1(g):
             )
             h = build(g.n, (*h.edges, (w, x)))
             added += 1
-    return h, AlgoTrace(l_bap_count=len(bap), bap_set=bap, edges_added=added)
+    return h, AlgoTrace(bap_set=bap, edges_added=added)
 
 
 class TestAlgorithm1:

@@ -253,6 +253,15 @@ class TestCheck:
         assert "subgraph_feasible: true" in out
         assert "subgraph_minimal: pass" in out
 
+    def test_subgraph_not_minimal(self, tmp_path, capsys):
+        # BK4 is feasible, and alg2 deletes 3 of its 12 edges
+        path = write_graph(tmp_path, "bk4.txt", BK4)
+        assert main(["check", "--in", path, "--subgraph", path,
+                     "--minimal"]) == 1
+        out = capsys.readouterr().out
+        assert "subgraph_feasible: true" in out
+        assert "subgraph_minimal: fail" in out
+
     def test_infeasible_subgraph_is_vacuously_minimal(self, tmp_path, capsys):
         from sbspan import GenConfig, algorithm2, build, generate
 
@@ -507,6 +516,15 @@ class TestBench:
         rc = main(["bench", "--sizes", "10", "--seeds", "1", "--reps", "0",
                    "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("sizes, message", [
+        (",", "no sizes given"), ("5,x", "invalid sizes list")])
+    def test_bad_sizes_list(self, tmp_path, capsys, sizes, message):
+        rc = main(["bench", "--sizes", sizes, "--seeds", "1",
+                   "--csv", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
 
     def test_outsized_size_rejected(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"

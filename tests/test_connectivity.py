@@ -18,7 +18,8 @@ from sbspan.connectivity import (
 from sbspan.dominators import dominator_tree
 from sbspan.graph import delete_edge, delete_vertex
 from fixtures import (
-    BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8, bidirected, ladder_pairs,
+    BBOWTIE, BK4, BOWTIE, C4, CHAIN4, DIAMOND, OCT8, TWO_DIAMONDS, bidirected,
+    ladder_pairs,
 )
 from reference import rng_below
 
@@ -447,6 +448,17 @@ class TestThreeConnected:
             assert _three_connected(und(g), g.n) == feasible
             assert _two_vsb_violation(g.n, g.out_adj, g.in_adj) == (not feasible)
         assert glued.m == 2 * 131
+
+    def test_type2_pair(self):
+        # the search finds {2, 3} by its type-2 test; without that test it
+        # returns True here
+        from sbspan.connectivity import _three_connected
+
+        adj = und(TWO_DIAMONDS)
+        assert is_2vertex_connected(TWO_DIAMONDS)
+        assert min(map(len, adj)) == 3 and _biconnected(adj, 6)
+        assert not three_connected(adj, 6)
+        assert not _three_connected(adj, 6)
 
     def test_deep_known_answers(self):
         # n far above the recursion limit: every walk must be iterative

@@ -59,6 +59,9 @@ class TestBuild:
         g = build(3, [(2, 1), (0, 1), (1, 2)])
         assert g.edges == ((2, 1), (0, 1), (1, 2))
 
+    def test_repr(self):
+        assert repr(BK4) == "DiGraph(n=4, m=12)"
+
 
 class TestDeleteEdge:
     def test_c4(self):
@@ -106,6 +109,10 @@ class TestDeleteVertex:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             delete_vertex(C4, 4)
+
+    def test_only_vertex(self):
+        with pytest.raises(GraphError, match="only vertex"):
+            delete_vertex(build(1, []), 0)
 
     def test_edge_count_property(self):
         for seed in range(40):
