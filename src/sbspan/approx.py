@@ -20,8 +20,6 @@ from .connectivity import (
     _b_articulation_points,
     _biconnected,
     _disjoint_paths,
-    _floor_2vc,
-    _floor_2vsb,
     _is_2vc,
     _keeps_2vc,
     _keeps_2vsb,
@@ -30,7 +28,7 @@ from .connectivity import (
     is_2v_strongly_biconnected,
     is_2vertex_connected,
 )
-from .graph import DiGraph, Edge, build
+from .graph import DiGraph, Edge, _assemble
 
 
 class RepairLoopStalled(RuntimeError):
@@ -84,61 +82,88 @@ def _is_2vsb(n: int, out_adj, in_adj) -> bool:
     return not _two_vsb_violation(n, out_adj, in_adj)
 
 
-# Each property the deletion pass keeps: its degree floor, its exact local
-# test of one deletion and its whole-graph check.
-_2VC = (_floor_2vc, _keeps_2vc, _is_2vc)
-_2VSB = (_floor_2vsb, _keeps_2vsb, _is_2vsb)
+# Each property the deletion pass keeps: whether its degree floor is the
+# directed one alone, its exact local test of one deletion and its
+# whole-graph check.
+_2VC = (True, _keeps_2vc, _is_2vc)
+_2VSB = (False, _keeps_2vsb, _is_2vsb)
 
 
 def _deletion_pass(g: DiGraph, prop, protected=frozenset(),
                    check_input=None) -> DiGraph:
     """Delete, in canonical order, every unprotected edge whose deletion
     keeps the property ``prop`` (``_2VC`` or ``_2VSB``) of the graph left
-    by the deletions before it; build the DiGraph once, at the end.
+    by the deletions before it; assemble the DiGraph once per scan.
 
     g must have the property.  The caller guarantees it or passes
     ``check_input``, which is called on g before the per-candidate scan
     below and only then.  A first scan deletes every candidate that passes
-    the property's degree floor, and one whole-graph check tests what is
-    left.  If it holds, so does g, which contains it, and these are exactly
-    the edges the sequential pass deletes, by induction over the scan: a
-    floor rejection is a rejection of the local test too, and every graph
-    of the sequential pass contains the checked one, so by monotonicity
-    under adding edges each deletion that passes the floor keeps the
-    property.  Otherwise a second scan is the sequential pass itself: each
-    candidate is judged by the local test, exact because every accepted
-    deletion keeps the current subgraph feasible.  The output equals that
-    of rebuilding the graph per candidate and re-checking the
-    definition-level predicate, byte for byte.
+    the property's degree floor, counted in the scan, and one whole-graph
+    check tests what is left.  If it holds, so does g, which contains it,
+    and these are exactly the edges the sequential pass deletes, by
+    induction over the scan: a floor rejection is a rejection of the local
+    test too, and every graph of the sequential pass contains the checked
+    one, so by monotonicity under adding edges each deletion that passes
+    the floor keeps the property.  Otherwise a second scan is the
+    sequential pass itself: each candidate that passes the floor is judged
+    by the local test, a flow (``_keeps_2vc``/``_keeps_2vsb``) that is exact
+    because every accepted deletion keeps the current subgraph feasible.
+    The output equals that of rebuilding the graph per candidate and
+    re-checking the definition-level predicate, byte for byte.
     """
-    floor, keeps, holds = prop
-    kept, out_adj, in_adj = _scan(g, floor, protected)
-    if not holds(g.n, out_adj, in_adj):
-        if check_input:
-            check_input(g)
-        kept = _scan(g, keeps, protected)[0]
-    return build(g.n, kept)
+    directed, keeps, holds = prop
+    h = _assemble(g.n, _scan(g, directed, protected))
+    if holds(h.n, h.out_adj, h.in_adj):
+        return h
+    if check_input:
+        check_input(g)
+    return _assemble(g.n, _scan(g, directed, protected, keeps))
 
 
-def _scan(g: DiGraph, test, protected):
-    """The kept edges and the adjacency left when every unprotected edge
-    (u, v) for which ``test(out_adj, in_adj, u, v)`` holds on the graph
-    without it is deleted in turn.  Works on one mutable copy of the
-    adjacency lists, re-appending an edge whose deletion fails the test."""
-    out_adj = [list(a) for a in g.out_adj]
-    in_adj = [list(a) for a in g.in_adj]
+def _scan(g: DiGraph, directed: bool, protected, keeps=None) -> list[Edge]:
+    """The kept edges after deleting in turn every unprotected edge (u, v)
+    whose deletion passes the degree floor and, if given, ``keeps(out_adj,
+    in_adj, u, v)`` on the graph without it.
+
+    The floor is read from counts, with no list edited: u must keep two
+    out- and v two in-neighbours and, unless ``directed``, each of u and v
+    three distinct underlying neighbours, which they lose to each other
+    only when (v, u) is absent.  Adjacency lists are copied and edited only
+    when ``keeps`` is given, and only for a candidate that passes the
+    floor; one whose deletion fails is put back.
+    """
+    out_deg = list(map(len, g.out_adj))
+    in_deg = list(map(len, g.in_adj))
+    if not directed:
+        und_deg = [len({*a, *b}) for a, b in zip(g.out_adj, g.in_adj)]
+        left = set(g.edges)
+    if keeps:
+        out_adj = [list(a) for a in g.out_adj]
+        in_adj = [list(a) for a in g.in_adj]
     kept: list[Edge] = []
     for e in g.edges:
-        if e not in protected:
-            u, v = e
+        u, v = e
+        lone = not directed and (v, u) not in left  # u, v stop being adjacent
+        if (e in protected or out_deg[u] < 3 or in_deg[v] < 3
+                or lone and (und_deg[u] < 4 or und_deg[v] < 4)):
+            kept.append(e)
+            continue
+        if keeps:
             out_adj[u].remove(v)
             in_adj[v].remove(u)
-            if test(out_adj, in_adj, u, v):
+            if not keeps(out_adj, in_adj, u, v):
+                out_adj[u].append(v)
+                in_adj[v].append(u)
+                kept.append(e)
                 continue
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-        kept.append(e)
-    return kept, out_adj, in_adj
+        out_deg[u] -= 1
+        in_deg[v] -= 1
+        if not directed:
+            left.remove(e)
+        if lone:
+            und_deg[u] -= 1
+            und_deg[v] -= 1
+    return kept
 
 
 def minimal_2vcss(g: DiGraph) -> DiGraph:
@@ -196,7 +221,7 @@ def _alg1(g: DiGraph):
             raise RepairLoopStalled(
                 f"no candidate edge separates components around vertex {v}")
     if added:
-        gplus = build(n, (*gplus.edges, *added))
+        gplus = _assemble(n, (*gplus.edges, *added))
     return gplus, AlgoTrace(bap_set=bap, edges_added=len(added))
 
 

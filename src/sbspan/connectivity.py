@@ -19,7 +19,8 @@ after deleting any one vertex).  This follows from the definition because
 G - v is strongly connected for every v iff G is 2VC, and the underlying
 graph of G - v is the underlying graph of G minus v.  ``_two_vsb_violation``
 decides it for a whole graph, ``_keeps_2vc``/``_keeps_2vsb`` for one edge
-deletion.
+deletion by flows alone; the deletion pass counts its degree floor in
+``approx._scan``.
 
 Each step is explained where it is done: the underlying half in O(n+m) in
 ``_three_connected``, the one-deletion test in ``_keeps_2vsb`` and
@@ -29,6 +30,7 @@ algorithm 1's repair in ``approx._alg1``.  ``scc``,
 definition-level references that the tests hold the fast paths against.
 """
 
+from . import dominators
 from .graph import DiGraph
 
 
@@ -131,15 +133,17 @@ def _und_adj(out_adj, in_adj) -> list[list[int]]:
 
 
 def _is_2vc(n: int, out_adj, in_adj) -> bool:
-    """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2, and
-    strongly connected with no strong articulation point, both read from
-    one pair of dominator trees."""
+    """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2, every
+    vertex reached from 0 and reaching it with 0 as its only nontrivial
+    dominator, read from a flat dominator tree of the graph and of its
+    reverse, and G - 0 strongly connected.  Stops at the first tree that is
+    not flat."""
     if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
         return False
-    # imported here: dominators imports _strongly_connected from this module
-    from .dominators import _strong_articulation_points
-
-    return _strong_articulation_points(n, out_adj, in_adj) == set()
+    for succ, pred in ((out_adj, in_adj), (in_adj, out_adj)):
+        if dominators.dominator_tree(succ, pred, 0).count(0) != n - 1:
+            return False
+    return _strongly_connected(out_adj, in_adj, n, 0)
 
 
 def _three_connected(und, n: int) -> bool:
@@ -411,26 +415,6 @@ def _reroute(adjs, s: int, t: int, prv: dict) -> bool:
     return True
 
 
-def _floor_2vc(out_adj, in_adj, u: int, v: int) -> bool:
-    """Degree floor of ``_keeps_2vc``, in O(1): two internally disjoint
-    u->v paths leave u and reach v through two distinct neighbours."""
-    return len(out_adj[u]) > 1 and len(in_adj[v]) > 1
-
-
-def _floor_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
-    """Degree floor of ``_keeps_2vsb``: the directed floor and three
-    distinct underlying neighbours each for u and v.  The directed floor
-    implies the rest when (v, u) is present: u then has v besides its two
-    out-neighbours, and v has u besides its two in-neighbours.  O(1) for a
-    vertex with three out- or three in-neighbours, which are distinct; only
-    a vertex short of both builds a neighbour set."""
-    return (_floor_2vc(out_adj, in_adj, u, v)
-            and (len(out_adj[u]) > 2 or len(in_adj[u]) > 2
-                 or len({*out_adj[u], *in_adj[u]}) > 2)
-            and (len(out_adj[v]) > 2 or len(in_adj[v]) > 2
-                 or len({*out_adj[v], *in_adj[v]}) > 2))
-
-
 def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     """Whether a 2-vertex-connected graph stays so without edge (u, v).
 
@@ -439,8 +423,7 @@ def _keeps_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     vertex of the rest would split u from v, so two internally disjoint
     u->v paths suffice.
     """
-    return (_floor_2vc(out_adj, in_adj, u, v)
-            and _disjoint_paths(out_adj, in_adj, u, v, 2))
+    return _disjoint_paths(out_adj, in_adj, u, v, 2)
 
 
 def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
@@ -455,8 +438,6 @@ def _keeps_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     two directed paths are two undirected ones, so the undirected search
     continues from them and needs only the third.
     """
-    if not _floor_2vsb(out_adj, in_adj, u, v):
-        return False
     prv: dict[int, int] = {}
     return _disjoint_paths(out_adj, in_adj, u, v, 2, prv=prv) and (
         u in out_adj[v]
@@ -543,11 +524,10 @@ def _analysis(g: DiGraph) -> dict:
     n >= 4 and it has no b-articulation point: its underlying graph is
     biconnected, so a separation pair {a, b}, or a vertex of underlying
     degree <= 2, leaves a cut vertex in und - a."""
-    from .dominators import _strong_articulation_points
-
     n, out_adj, in_adj = g.n, g.out_adj, g.in_adj
     und = _und_adj(out_adj, in_adj)
-    saps = _strong_articulation_points(n, out_adj, in_adj) if n >= 3 else None
+    saps = (dominators._strong_articulation_points(n, out_adj, in_adj)
+            if n >= 3 else None)
     strongly_connected = (saps is not None if n >= 3
                           else _strongly_connected(out_adj, in_adj, n))
     # with n >= 3 and no strong articulation point, in/out-degree >= 2: a

@@ -9,7 +9,7 @@ graph and its reverse, plus the root itself when its deletion disconnects
 the rest.
 """
 
-from .connectivity import _strongly_connected
+from . import connectivity
 from .graph import DiGraph, build
 
 
@@ -25,11 +25,29 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
     gives the dominator tree of the reverse graph.  The entry is None for
     the root and for vertices unreachable from it.
 
-    Lengauer & Tarjan's (1979) simple version, O(m log n): semidominators
-    in reverse preorder over a forest of processed vertices whose paths
-    ``_compress`` shortens, then one forward pass fixing each immediate
-    dominator.  Vertices are handled by their preorder numbers, from 1;
-    both walks are iterative, since n can reach ``MAX_VERTICES``.
+    Lengauer & Tarjan's (1979) simple version, O(m log n).  Vertices are
+    handled by their preorder numbers from 1; every walk is iterative,
+    since n can reach ``MAX_VERTICES``.  A first sweep finds the
+    semidominators in reverse preorder, over a forest of processed
+    vertices whose paths ``_compress`` shortens.
+
+    The semidominators alone show a flat tree, one whose every immediate
+    dominator is the root r, and such a tree is returned at once.  Let
+    d != r dominate some x.  Then d dominates its tree child c on the tree
+    path to x: an r->c path avoiding d would extend down that path to x.
+    And d = parent(c) dominates c iff sdom(c) = d.  If it does, idom(c) = d,
+    and idom(c) is an ancestor of sdom(c) <= parent(c).  If it does not,
+    take an r->c path avoiding d and its last vertex z numbered below c,
+    so that sdom(c) <= z.  Were d < z < c, z would lie in an earlier child
+    subtree of d, with an edge into a vertex numbered >= c, which the DFS
+    would have made z's descendant.  So the tree is flat iff no reached c
+    whose parent is not r has sdom(c) = parent(c).
+
+    Otherwise a second sweep over a fresh forest links each w to its
+    parent p in reverse preorder, then evaluates the vertices of
+    semidominator p numbered >= w: Lengauer & Tarjan's step 3, moved out
+    of the first sweep.  One forward pass then fixes each immediate
+    dominator.
     """
     n = len(succ)
     if not 0 <= root < n:
@@ -57,10 +75,6 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
     semi = list(range(size))
     label = list(range(size))
     anc = [0] * size  # forest parent; 0 while a vertex is a forest root
-    idom = [0] * size
-    # The vertices whose semidominator is s: head[s], nxt[head[s]], ... to 0.
-    head = [0] * size
-    nxt = [0] * size
     for w in range(size - 1, 1, -1):
         s = w
         for x in pred[vert[w]]:
@@ -72,20 +86,35 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
             if semi[v] < s:
                 s = semi[v]
         semi[w] = s
+        anc[w] = par[w]
+    out: list[int | None] = [None] * n
+    if not any(d == p > 1 for d, p in zip(semi, par)):
+        for v in vert[2:]:
+            out[v] = root
+        return tuple(out)
+    # The vertices whose semidominator is s: head[s], nxt[head[s]], ... to
+    # 0, in decreasing order.
+    head = [0] * size
+    nxt = [0] * size
+    for w in range(2, size):
+        s = semi[w]
         nxt[w] = head[s]
         head[s] = w
+    label = list(range(size))
+    anc = [0] * size
+    idom = [0] * size
+    for w in range(size - 1, 1, -1):
         p = par[w]
         anc[w] = p
         v = head[p]
-        while v:
+        while v >= w:
             u = _compress(v, anc, label, semi)
             idom[v] = u if semi[u] < semi[v] else p
             v = nxt[v]
-        head[p] = 0
+        head[p] = v
     for w in range(2, size):
         if idom[w] != semi[w]:
             idom[w] = idom[idom[w]]
-    out: list[int | None] = [None] * n
     for w in range(2, size):
         out[vert[w]] = vert[idom[w]]
     return tuple(out)
@@ -126,7 +155,7 @@ def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int] | None:
         if idom.count(None) > 1:
             return None
         points |= _nontrivial(idom, 0)
-    if not _strongly_connected(out_adj, in_adj, n, 0):
+    if not connectivity._strongly_connected(out_adj, in_adj, n, 0):
         points.add(0)
     return points
 

@@ -4,7 +4,8 @@ A graph is a value: vertex count ``n`` plus an ordered edge sequence whose
 construction order is the canonical order used by every deterministic scan
 in this package.  Edges are plain ``(tail, head)`` int pairs.  Deletions
 return new values, so graphs can be shared and hashed; the algorithms'
-deletion pass edits its own copy of the adjacency and builds once.
+deletion pass keeps its own degree counts and assembles its output from
+edges of a valid graph, unchecked.
 """
 
 import re
@@ -69,8 +70,6 @@ def build(n: int, edge_list) -> DiGraph:
         raise GraphError(f"vertex count must be >= 1, got {n}")
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) endpoint out of range [0, {n})")
@@ -81,6 +80,15 @@ def build(n: int, edge_list) -> DiGraph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(e)
         edges.append(e)
+    return _assemble(n, edges)
+
+
+def _assemble(n: int, edges) -> DiGraph:
+    """The DiGraph of an edge sequence ``build`` would accept, unchecked:
+    for edges taken from valid graphs, such as a subgraph's."""
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         out_adj[u].append(v)
         in_adj[v].append(u)
     return DiGraph(

@@ -60,3 +60,19 @@ def ladder_pairs(kind, n):
 # which ``_three_connected`` finds by its type-2 test.
 TWO_DIAMONDS = bidirected(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                               (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+
+
+def gates(k):
+    """k gates in a row, c_i -> x_i, y_i -> c_{i+1} with x_i <-> y_i, for
+    c_i = 3i-2, x_i = 3i-1, y_i = 3i and c_{k+1} = 0, entered by 0 -> 1 and
+    0 -> 2, plus fronds x_i -> 1 and y_i -> 1 for i >= 2: n = 3k+1, m = 8k,
+    in- and out-degree 2 at least, strongly connected, and every c_i with
+    i >= 2 separates, so the dominator tree from 0 is one long chain."""
+    edges = [(0, 1), (0, 2)]
+    for i in range(1, k + 1):
+        c, x, y = 3 * i - 2, 3 * i - 1, 3 * i
+        nxt = 3 * i + 1 if i < k else 0
+        edges += [(c, x), (c, y), (x, nxt), (y, nxt), (x, y), (y, x)]
+        if i >= 2:
+            edges += [(x, 1), (y, 1)]
+    return build(3 * k + 1, edges)

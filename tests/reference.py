@@ -115,12 +115,38 @@ def dominator_tree_iterative(succ, pred, root: int) -> tuple[int | None, ...]:
     )
 
 
+def floor_2vc(out_adj, in_adj, u: int, v: int) -> bool:
+    """Degree floor of the local 2VC deletion test, on the graph without
+    (u, v): two internally disjoint u->v paths leave u and reach v through
+    two distinct neighbours."""
+    return len(out_adj[u]) > 1 and len(in_adj[v]) > 1
+
+
 def floor_2vsb(out_adj, in_adj, u: int, v: int) -> bool:
     """Degree floor of the local 2VSB deletion test by its definition, with
-    a neighbour set per end: u keeps two out-neighbours and v two
-    in-neighbours, and unless (v, u) is present, u and v each have three
-    distinct underlying neighbours; same arguments as
-    ``sbspan.connectivity._floor_2vsb``."""
-    return (len(out_adj[u]) > 1 and len(in_adj[v]) > 1
-            and (u in out_adj[v]
-                 or all(len({*out_adj[x], *in_adj[x]}) > 2 for x in (u, v))))
+    a neighbour set per end: the directed floor, and unless (v, u) is
+    present, u and v each have three distinct underlying neighbours."""
+    return floor_2vc(out_adj, in_adj, u, v) and (
+        u in out_adj[v]
+        or all(len({*out_adj[x], *in_adj[x]}) > 2 for x in (u, v)))
+
+
+def floor_scan(g, floor, protected, keeps=None) -> list:
+    """``sbspan.approx._scan`` over mutable adjacency lists: each unprotected
+    edge (u, v) is deleted in turn and put back unless ``floor`` and then
+    ``keeps``, if given, hold on the graph without it; the kept edges."""
+    out_adj = [list(a) for a in g.out_adj]
+    in_adj = [list(a) for a in g.in_adj]
+    kept = []
+    for e in g.edges:
+        if e not in protected:
+            u, v = e
+            out_adj[u].remove(v)
+            in_adj[v].remove(u)
+            if floor(out_adj, in_adj, u, v) and (
+                    keeps is None or keeps(out_adj, in_adj, u, v)):
+                continue
+            out_adj[u].append(v)
+            in_adj[v].append(u)
+        kept.append(e)
+    return kept

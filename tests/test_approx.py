@@ -299,18 +299,19 @@ def _rebuild_per_candidate(g, predicate, protected=frozenset()):
 
 
 def _count_scans(monkeypatch):
-    """The test each of the deletion pass's scans runs, from here on."""
+    """The mode of each of the deletion pass's scans from here on: "floor"
+    for the degree floor alone, "local" when the local test runs too."""
     from sbspan import approx
 
-    tests = []
+    modes = []
     scan = approx._scan
 
-    def counted(g, test, protected):
-        tests.append(test)
-        return scan(g, test, protected)
+    def counted(g, directed, protected, keeps=None):
+        modes.append("local" if keeps else "floor")
+        return scan(g, directed, protected, keeps)
 
     monkeypatch.setattr(approx, "_scan", counted)
-    return tests
+    return modes
 
 
 def _relabeled(n, pairs, seed):
@@ -348,6 +349,8 @@ class TestDeletionPass:
         def counted(name, solve):
             before = len(scans)
             out = solve()
+            # the floor scan first, then the local test only if needed
+            assert scans[before:] in (["floor"], ["floor", "local"]), name
             branches[name, len(scans) - before] += 1
             return out
 

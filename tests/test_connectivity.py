@@ -777,15 +777,13 @@ class TestDegreeFloor:
         from collections import Counter
 
         from sbspan import GenConfig, generate
-        from sbspan.approx import _scan
-        from sbspan.connectivity import _floor_2vsb
-        from reference import floor_2vsb
+        from sbspan.approx import _scan, greedy_degree_cover
+        from reference import floor_2vc, floor_2vsb, floor_scan
 
         seen = Counter()
 
-        def compare(out_adj, in_adj, u, v):
+        def recorded(out_adj, in_adj, u, v):
             expect = floor_2vsb(out_adj, in_adj, u, v)
-            assert _floor_2vsb(out_adj, in_adj, u, v) == expect, (u, v)
             seen["verdict", expect] += 1
             seen["antiparallel", u in out_adj[v]] += 1
             for x in u, v:
@@ -794,6 +792,11 @@ class TestDegreeFloor:
                     seen["short", len({*out_adj[x], *in_adj[x]}) > 2] += 1
             return expect
 
+        def stand_in(out_adj, in_adj, u, v):
+            # a deterministic local test, so that the scans walk through
+            # graphs that the floor-only scan does not reach
+            return (3 * u + v) % 4 != 0
+
         graphs = [generate(GenConfig(n=n, seed=seed))
                   for n in range(4, 16) for seed in range(40)]
         graphs += [bidirected(n, ladder_pairs(kind, n))
@@ -801,11 +804,17 @@ class TestDegreeFloor:
                    for kind in ("prism", "moebius", "squared")
                    if kind == "squared" or n % 2 == 0]
         for g in graphs:
-            for e in g.edges:
-                compare(*_deleted_lists(g, e), *e)
-            # the graphs the deletion pass's floor scan walks through, which
-            # need not be feasible
-            _scan(g, compare, frozenset())
+            for e in g.edges:  # each single deletion from g
+                others = set(g.edges) - {e}
+                assert _scan(g, False, others) == \
+                    floor_scan(g, recorded, others), (g, e)
+            # neither the graphs the floor scans walk through nor the
+            # protected cover's complement need be feasible
+            for protected in frozenset(), set(greedy_degree_cover(g)):
+                for keeps in None, stand_in:
+                    for directed, floor in (True, floor_2vc), (False, recorded):
+                        assert _scan(g, directed, protected, keeps) == \
+                            floor_scan(g, floor, protected, keeps), (g, keeps)
         assert all(seen[key, b] for key in ("verdict", "antiparallel", "short")
                    for b in (False, True)), seen
 

@@ -11,10 +11,14 @@ from sbspan import (
     is_strongly_connected,
     strong_articulation_points_fast,
 )
-from sbspan.connectivity import strong_articulation_points_bruteforce
-from sbspan.dominators import _nontrivial, dominator_tree, reverse
+from sbspan.connectivity import _is_2vc, strong_articulation_points_bruteforce
+from sbspan.dominators import (
+    _nontrivial, _strong_articulation_points, dominator_tree, reverse,
+)
 from sbspan.graph import delete_vertex
-from fixtures import BBOWTIE, BK4, C4, CHAIN4, DIAMOND, bidirected, ladder_pairs
+from fixtures import (
+    BBOWTIE, BK4, C4, CHAIN4, DIAMOND, bidirected, gates, ladder_pairs,
+)
 from reference import dominator_tree_iterative, rng_below
 
 
@@ -35,22 +39,6 @@ def random_sc_graph(seed, max_n=30):
         if is_strongly_connected(g):
             return g
         target += 1
-
-
-def gates(k):
-    """k gates in a row, c_i -> x_i, y_i -> c_{i+1} with x_i <-> y_i, for
-    c_i = 3i-2, x_i = 3i-1, y_i = 3i and c_{k+1} = 0, entered by 0 -> 1 and
-    0 -> 2, plus fronds x_i -> 1 and y_i -> 1 for i >= 2: n = 3k+1, m = 8k,
-    in- and out-degree 2 at least, strongly connected, and every c_i with
-    i >= 2 separates, so the dominator tree from 0 is one long chain."""
-    edges = [(0, 1), (0, 2)]
-    for i in range(1, k + 1):
-        c, x, y = 3 * i - 2, 3 * i - 1, 3 * i
-        nxt = 3 * i + 1 if i < k else 0
-        edges += [(c, x), (c, y), (x, nxt), (y, nxt), (x, y), (y, x)]
-        if i >= 2:
-            edges += [(x, 1), (y, 1)]
-    return build(3 * k + 1, edges)
 
 
 def trees_match_reference(g):
@@ -153,6 +141,73 @@ class TestDominatorTree:
     def test_matches_iterative_on_gates(self):
         for k in range(1, 40):
             trees_match_reference(gates(k))
+
+    def test_both_sweeps_from_every_root(self):
+        # a tree whose every immediate dominator is the root is read off
+        # the semidominators; any other takes the second sweep.  The 2VC
+        # check, which stops at the first tree that is not flat, agrees
+        # with the strong articulation points of both trees.  Half the
+        # graphs lose every edge across a split of V - cut, so that cut
+        # (0 too) separates graphs that pass the degree floor.
+        from collections import Counter
+
+        kinds, verdicts = Counter(), Counter()
+        for seed in range(2500):
+            rng, n = rng_below(seed + 70000, 14)
+            n += 1
+            rng, m = rng_below(rng, n * n + 1)
+            rng, cut = rng_below(rng, n)
+            rng, split = rng_below(rng, n)
+            edges = set()
+            for _ in range(m):
+                rng, u = rng_below(rng, n)
+                rng, v = rng_below(rng, n)
+                if u != v:
+                    edges.add((u, v))
+            glued = {(u, v) for u, v in edges
+                     if cut in (u, v) or (u < split) == (v < split)}
+            for g in build(n, sorted(edges)), build(n, sorted(glued)):
+                for root in range(n):
+                    idom = dominator_tree(g.out_adj, g.in_adj, root)
+                    assert idom == dominator_tree_iterative(
+                        g.out_adj, g.in_adj, root), (g, root)
+                    kinds[set(idom) <= {None, root}] += 1
+                if n < 3:
+                    continue
+                two_vc = _is_2vc(n, g.out_adj, g.in_adj)
+                assert two_vc == (_strong_articulation_points(
+                    n, g.out_adj, g.in_adj) == set()), g
+                floor = min(map(len, g.out_adj + g.in_adj)) >= 2
+                verdicts[floor, two_vc] += 1
+        assert kinds[True] >= 1000 and kinds[False] >= 1000, kinds
+        # past the degree floor, 2VC or not
+        assert verdicts[True, True] >= 500, verdicts
+        assert verdicts[True, False] >= 20, verdicts
+
+    def test_squared_cycle_reverse_tree(self):
+        # without (1, 0), (2, 0) and (n-1, 0), n-2 is 0's only
+        # in-neighbour: the tree from 0 is flat, its reverse is not
+        for n in (8, 9, 40, 4000):
+            drop = {(1, 0), (2, 0), (n - 1, 0)}
+            g = build(n, [e for a, b in ladder_pairs("squared", n)
+                          for e in ((a, b), (b, a)) if e not in drop])
+            assert dominator_tree(g.out_adj, g.in_adj, 0).count(0) == n - 1
+            idom = dominator_tree(g.in_adj, g.out_adj, 0)
+            assert idom[n - 2] == 0 and _nontrivial(idom, 0) == {n - 2}
+            if n < 100:
+                assert idom == dominator_tree_iterative(g.in_adj, g.out_adj, 0)
+            assert not _is_2vc(n, g.out_adj, g.in_adj)
+            assert strong_articulation_points_fast(g) == {n - 2}
+
+    def test_gates_chain_pinned(self):
+        for k in (2, 3, 5, 8, 1000):
+            g = gates(k)
+            chain = {3 * i - 2 for i in range(2, k + 1)}
+            assert _nontrivial(
+                dominator_tree(g.out_adj, g.in_adj, 0), 0) == chain
+            assert strong_articulation_points_fast(g) == chain
+            if k <= 8:
+                assert strong_articulation_points_bruteforce(g) == chain
 
     def test_deep_chains_pinned(self):
         # the iterative scheme needs ~13 s for the gate verdict and ~6.6 s
