@@ -14,7 +14,17 @@ import argparse
 
 from fixtures import gates, ladder_pairs
 
-from sbspan import serialize
+from sbspan import build, serialize
+
+
+def family(kind, n, drop=None):
+    """The graph that ``families.py KIND N [--drop DROP]`` writes."""
+    if kind == "gates":
+        return gates(n)
+    dropped = {"three": {(1, 0), (2, 0), (n - 1, 0)},
+               "into0": {(v, 0) for v in range(n)}}.get(drop, ())
+    return build(n, [e for a, b in ladder_pairs(kind, n)
+                     for e in ((a, b), (b, a)) if e not in dropped])
 
 
 def main() -> None:
@@ -23,18 +33,9 @@ def main() -> None:
     parser.add_argument("n", type=int)
     parser.add_argument("--drop", choices=("three", "into0"))
     args = parser.parse_args()
-    n = args.n
-    if args.kind == "gates":
-        if args.drop:
-            parser.error("--drop applies to the ladders only")
-        print(serialize(gates(n)), end="")
-        return
-    drop = {"three": {(1, 0), (2, 0), (n - 1, 0)},
-            "into0": {(v, 0) for v in range(n)}}.get(args.drop, ())
-    edges = [e for a, b in ladder_pairs(args.kind, n)
-             for e in ((a, b), (b, a)) if e not in drop]
-    print(n, len(edges))
-    print(*(f"{a} {b}" for a, b in edges), sep="\n")
+    if args.kind == "gates" and args.drop:
+        parser.error("--drop applies to the ladders only")
+    print(serialize(family(args.kind, args.n, args.drop)), end="")
 
 
 if __name__ == "__main__":

@@ -311,6 +311,49 @@ class TestCheck:
         assert main(["check", "--in", path, "--exact"]) != 0
         assert "m <= 24" in capsys.readouterr().err
 
+    def test_mutated_inputs(self, tmp_path, capsys):
+        # seeded byte deletions, overwrites, line duplications and
+        # insertions of separators, signs, line breaks that only some
+        # splitters know, non-ASCII digits and spaces, bytes that are not
+        # UTF-8, and overlong digit runs: whatever the text, `check`
+        # prints its verdicts or one error line, and nothing escapes main
+        from sbspan import GenConfig, generate
+        from reference import rng_below
+
+        inserts = [b"\xff", b"\x00", b"\r", b"+", b"-", b"#", b"\t", b"\x0b",
+                   b"\x1c", b"\x85", "\u0085".encode(),
+                   "\u00a0".encode(), "\u2028".encode(), "\u0663".encode(),
+                   b"1" * 30, b"9" * 50]
+        path = tmp_path / "g.txt"
+        statuses = set()
+        for seed in range(1000):
+            rng, n = rng_below(seed + 90000, 6)
+            text = bytearray(serialize(generate(GenConfig(n=n + 4, seed=seed))).encode())
+            rng, count = rng_below(rng, 3)
+            for _ in range(count + 1):
+                rng, kind = rng_below(rng, 4)
+                rng, i = rng_below(rng, len(text) + 1)
+                if kind == 0:
+                    del text[i:i + 1]
+                elif kind == 1:
+                    rng, byte = rng_below(rng, 256)
+                    text[i:i + 1] = bytes([byte])
+                elif kind == 2:
+                    start = text.rfind(b"\n", 0, i) + 1
+                    end = text.find(b"\n", i) + 1 or len(text)
+                    text[end:end] = text[start:end]
+                else:
+                    rng, j = rng_below(rng, len(inserts))
+                    text[i:i] = inserts[j]
+            path.write_bytes(bytes(text))
+            status = main(["check", "--in", str(path)])
+            captured = capsys.readouterr()
+            assert status in (0, 1), bytes(text)
+            if status == 1 and not captured.out:
+                assert_one_error_line(captured.err)
+            statuses.add(status)
+        assert statuses == {0, 1}
+
 
 def _expected_verdicts(g):
     """``_analysis(g)`` from the public predicates and the definition-level
