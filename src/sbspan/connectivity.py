@@ -134,14 +134,13 @@ def _und_adj(out_adj, in_adj) -> list[list[int]]:
 
 def _is_2vc(n: int, out_adj, in_adj) -> bool:
     """Core of ``is_2vertex_connected``: n >= 3, in/out-degree >= 2, every
-    vertex reached from 0 and reaching it with 0 as its only nontrivial
-    dominator, read from a flat dominator tree of the graph and of its
-    reverse, and G - 0 strongly connected.  Stops at the first tree that is
-    not flat."""
+    vertex reached from 0 and reaching it, the dominator trees of the graph
+    and of its reverse from 0 without inner vertices, and G - 0 strongly
+    connected.  Stops at the first tree that has one."""
     if n < 3 or min(map(len, out_adj)) < 2 or min(map(len, in_adj)) < 2:
         return False
     for succ, pred in ((out_adj, in_adj), (in_adj, out_adj)):
-        if dominators.dominator_tree(succ, pred, 0).count(0) != n - 1:
+        if dominators.dominator_tree(succ, pred, 0) != set():
             return False
     return _strongly_connected(out_adj, in_adj, n, 0)
 
@@ -518,8 +517,8 @@ def b_articulation_points(g: DiGraph) -> set[int]:
 def _analysis(g: DiGraph) -> dict:
     """The six verdicts ``sbspan check`` prints, keyed by their labels; a
     vertex set is None where it is undefined.  They come from one
-    underlying adjacency, one pair of dominator trees, whose strong
-    articulation points also decide strong connectivity and 2VC, and one
+    underlying adjacency, the inner vertices of one pair of dominator
+    trees, which also decide strong connectivity and 2VC, and one
     ``_b_articulation_points`` call.  A 2VC graph is 2VSB iff
     n >= 4 and it has no b-articulation point: its underlying graph is
     biconnected, so a separation pair {a, b}, or a vertex of underlying

@@ -1,12 +1,13 @@
-"""Immediate dominators and the dominator-based strong-articulation-point test.
+"""Dominator trees and the dominator-based strong-articulation-point test.
 
-The dominator tree is computed by Lengauer & Tarjan's (1979) simple
-algorithm, O(m log n) on every input, including the deep dominator chains on
-which iterative fixed-point schemes are quadratic (Georgiadis, Tarjan &
-Werneck 2006 compare the two families).  Strong articulation points of a
-strongly connected graph are the nontrivial dominators from any root in the
+The inner vertices of a dominator tree are read off the semidominators of
+Lengauer & Tarjan's (1979) simple algorithm, O(m log n) on every input,
+including the deep dominator chains on which iterative fixed-point schemes
+are quadratic (Georgiadis, Tarjan & Werneck 2006 compare the two
+families).  Strong articulation points of a strongly connected graph are
+the inner vertices other than the root of the trees from any root in the
 graph and its reverse, plus the root itself when its deletion disconnects
-the rest.
+the rest (Italiano, Laura & Santaroni 2012).
 """
 
 from . import connectivity
@@ -18,36 +19,31 @@ def reverse(g: DiGraph) -> DiGraph:
     return build(g.n, [(v, u) for u, v in g.edges])
 
 
-def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
-    """Immediate dominator of every vertex reachable from root.
+def dominator_tree(succ, pred, root: int) -> set[int] | None:
+    """The inner vertices of the dominator tree from root, the root left
+    out: the vertices other than root that dominate some other vertex.
+    None if some vertex is not reachable from root.
 
     ``succ``/``pred`` are the out- and in-adjacency lists; swapping them
-    gives the dominator tree of the reverse graph.  The entry is None for
-    the root and for vertices unreachable from it.
+    gives the tree of the reverse graph.
 
-    Lengauer & Tarjan's (1979) simple version, O(m log n).  Vertices are
-    handled by their preorder numbers from 1; every walk is iterative,
-    since n can reach ``MAX_VERTICES``.  A first sweep finds the
-    semidominators in reverse preorder, over a forest of processed
-    vertices whose paths ``_compress`` shortens.
+    One DFS and the semidominator sweep of Lengauer & Tarjan's (1979)
+    simple version, O(m log n).  Vertices are handled by their preorder
+    numbers from 1; every walk is iterative, since n can reach
+    ``MAX_VERTICES``.  The sweep finds the semidominators in reverse
+    preorder, over a forest of processed vertices whose paths
+    ``_compress`` shortens.
 
-    The semidominators alone show a flat tree, one whose every immediate
-    dominator is the root r, and such a tree is returned at once.  Let
-    d != r dominate some x.  Then d dominates its tree child c on the tree
-    path to x: an r->c path avoiding d would extend down that path to x.
-    And d = parent(c) dominates c iff sdom(c) = d.  If it does, idom(c) = d,
-    and idom(c) is an ancestor of sdom(c) <= parent(c).  If it does not,
-    take an r->c path avoiding d and its last vertex z numbered below c,
-    so that sdom(c) <= z.  Were d < z < c, z would lie in an earlier child
-    subtree of d, with an edge into a vertex numbered >= c, which the DFS
-    would have made z's descendant.  So the tree is flat iff no reached c
-    whose parent is not r has sdom(c) = parent(c).
-
-    Otherwise a second sweep over a fresh forest links each w to its
-    parent p in reverse preorder, then evaluates the vertices of
-    semidominator p numbered >= w: Lengauer & Tarjan's step 3, moved out
-    of the first sweep.  One forward pass then fixes each immediate
-    dominator.
+    The semidominators name the inner vertices.  Let d != r dominate some
+    x.  Then d dominates its tree child c on the tree path to x: an r->c
+    path avoiding d would extend down that path to x.  And d = parent(c)
+    dominates c iff sdom(c) = d.  If it does, idom(c) = d, and idom(c) is
+    an ancestor of sdom(c) <= parent(c).  If it does not, take an r->c
+    path avoiding d and its last vertex z numbered below c, so that
+    sdom(c) <= z.  Were d < z < c, z would lie in an earlier child subtree
+    of d, with an edge into a vertex numbered >= c, which the DFS would
+    have made z's descendant.  So the inner vertices are the parents p !=
+    r of the vertices c with sdom(c) = p.
     """
     n = len(succ)
     if not 0 <= root < n:
@@ -72,6 +68,8 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
         else:
             stack.pop()
     size = len(vert)
+    if size <= n:
+        return None
     semi = list(range(size))
     label = list(range(size))
     anc = [0] * size  # forest parent; 0 while a vertex is a forest root
@@ -79,45 +77,13 @@ def dominator_tree(succ, pred, root: int) -> tuple[int | None, ...]:
         s = w
         for x in pred[vert[w]]:
             v = num[x]
-            if not v:  # unreachable from the root
-                continue
             if anc[v]:
                 v = _compress(v, anc, label, semi)
             if semi[v] < s:
                 s = semi[v]
         semi[w] = s
         anc[w] = par[w]
-    out: list[int | None] = [None] * n
-    if not any(d == p > 1 for d, p in zip(semi, par)):
-        for v in vert[2:]:
-            out[v] = root
-        return tuple(out)
-    # The vertices whose semidominator is s: head[s], nxt[head[s]], ... to
-    # 0, in decreasing order.
-    head = [0] * size
-    nxt = [0] * size
-    for w in range(2, size):
-        s = semi[w]
-        nxt[w] = head[s]
-        head[s] = w
-    label = list(range(size))
-    anc = [0] * size
-    idom = [0] * size
-    for w in range(size - 1, 1, -1):
-        p = par[w]
-        anc[w] = p
-        v = head[p]
-        while v >= w:
-            u = _compress(v, anc, label, semi)
-            idom[v] = u if semi[u] < semi[v] else p
-            v = nxt[v]
-        head[p] = v
-    for w in range(2, size):
-        if idom[w] != semi[w]:
-            idom[w] = idom[idom[w]]
-    for w in range(2, size):
-        out[vert[w]] = vert[idom[w]]
-    return tuple(out)
+    return {vert[p] for s, p in zip(semi, par) if s == p > 1}
 
 
 def _compress(v: int, anc, label, semi) -> int:
@@ -137,24 +103,20 @@ def _compress(v: int, anc, label, semi) -> int:
     return label[v]
 
 
-def _nontrivial(idom, root: int) -> set[int]:
-    """Non-root vertices that immediately dominate some other vertex."""
-    return {d for d in idom if d is not None and d != root}
-
-
 def _strong_articulation_points(n: int, out_adj, in_adj) -> set[int] | None:
     """Dominator-based core of ``strong_articulation_points_fast`` over
     adjacency lists with n >= 3; None unless the graph is strongly connected.
 
-    A vertex missing from the dominator tree of g or of its reverse, both
-    rooted at 0, is not reached from 0 or does not reach it.
+    The inner vertices of the dominator trees of g and of its reverse, both
+    rooted at 0, plus 0 when G - 0 is not strongly connected.  No tree
+    exists when a vertex is not reached from 0 or does not reach it.
     """
     points: set[int] = set()
     for succ, pred in ((out_adj, in_adj), (in_adj, out_adj)):
-        idom = dominator_tree(succ, pred, 0)
-        if idom.count(None) > 1:
+        inner = dominator_tree(succ, pred, 0)
+        if inner is None:
             return None
-        points |= _nontrivial(idom, 0)
+        points |= inner
     if not connectivity._strongly_connected(out_adj, in_adj, n, 0):
         points.add(0)
     return points

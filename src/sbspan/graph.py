@@ -85,7 +85,8 @@ def build(n: int, edge_list) -> DiGraph:
 
 def _assemble(n: int, edges) -> DiGraph:
     """The DiGraph of an edge sequence ``build`` would accept, unchecked:
-    for edges taken from valid graphs, such as a subgraph's."""
+    for edges taken from valid graphs, such as a subgraph's, or checked as
+    the line pass reads them."""
     out_adj: list[list[int]] = [[] for _ in range(n)]
     in_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -164,7 +165,8 @@ def _quote(raw: str) -> str:
 
 
 def _parse_lines(text: str) -> DiGraph:
-    """``parse`` one line at a time, naming the line of the first error."""
+    """``parse`` one line at a time, naming the line of the first error;
+    each edge is checked here, as it is read, and nowhere else."""
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -204,7 +206,7 @@ def _parse_lines(text: str) -> DiGraph:
             len(text.splitlines()) + 1,
             f"edge count mismatch: header declares {header[1]}, found {len(edges)}",
         )
-    return build(header[0], edges)
+    return _assemble(header[0], edges)
 
 
 def serialize(g: DiGraph) -> str:

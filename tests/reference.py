@@ -115,6 +115,16 @@ def dominator_tree_iterative(succ, pred, root: int) -> tuple[int | None, ...]:
     )
 
 
+def nontrivial(idom, root: int) -> set[int] | None:
+    """A tuple of immediate dominators, such as ``dominator_tree_iterative``
+    returns, projected onto ``sbspan.dominators.dominator_tree``'s result:
+    None if a vertex other than root has none (it is unreached), otherwise
+    the vertices other than root that immediately dominate some vertex."""
+    if idom.count(None) > 1:
+        return None
+    return {d for d in idom if d is not None and d != root}
+
+
 def floor_2vc(out_adj, in_adj, u: int, v: int) -> bool:
     """Degree floor of the local 2VC deletion test, on the graph without
     (u, v): two internally disjoint u->v paths leave u and reach v through

@@ -13,13 +13,13 @@ from sbspan import (
 )
 from sbspan.connectivity import _is_2vc, strong_articulation_points_bruteforce
 from sbspan.dominators import (
-    _nontrivial, _strong_articulation_points, dominator_tree, reverse,
+    _strong_articulation_points, dominator_tree, reverse,
 )
 from sbspan.graph import delete_vertex
 from fixtures import (
     BBOWTIE, BK4, C4, CHAIN4, DIAMOND, bidirected, gates, ladder_pairs,
 )
-from reference import dominator_tree_iterative, rng_below
+from reference import dominator_tree_iterative, nontrivial, rng_below
 
 
 def random_sc_graph(seed, max_n=30):
@@ -41,41 +41,60 @@ def random_sc_graph(seed, max_n=30):
         target += 1
 
 
+def reference_inner(succ, pred, root):
+    """The iterative scheme's tree, projected as ``dominator_tree``'s."""
+    return nontrivial(dominator_tree_iterative(succ, pred, root), root)
+
+
+def reached_without(g, root, skip=None):
+    """How many vertices a search from root reaches in g - skip."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for b in g.out_adj[stack.pop()]:
+            if b != skip and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen)
+
+
 def trees_match_reference(g):
     """Both directions from roots 0 and n-1 agree with the iterative
     scheme; returns the number of trees compared."""
     for root in {0, g.n - 1}:
         for succ, pred in ((g.out_adj, g.in_adj), (g.in_adj, g.out_adj)):
             assert dominator_tree(succ, pred, root) == \
-                dominator_tree_iterative(succ, pred, root), (g, root)
+                reference_inner(succ, pred, root), (g, root)
     return 2 * len({0, g.n - 1})
 
 
 class TestDominatorTree:
     def test_chain(self):
-        assert dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 0) == (None, 0, 1, 2)
+        assert dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 0) == {1, 2}
 
     def test_diamond(self):
-        assert dominator_tree(DIAMOND.out_adj, DIAMOND.in_adj, 0) == (None, 0, 0, 0)
+        assert dominator_tree(DIAMOND.out_adj, DIAMOND.in_adj, 0) == set()
 
     def test_cycle(self):
-        assert dominator_tree(C4.out_adj, C4.in_adj, 0) == (None, 0, 1, 2)
+        assert dominator_tree(C4.out_adj, C4.in_adj, 0) == {1, 2}
 
     def test_unreachable_flagged(self):
-        idom = dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 2)
-        assert idom == (None, None, None, 2)
-        reachable = [idom[v] is not None or v == 2 for v in range(4)]
-        assert reachable == [False, False, True, True]
+        # 0 and 1 are not reached from 2
+        assert dominator_tree(CHAIN4.out_adj, CHAIN4.in_adj, 2) is None
+        assert dominator_tree(CHAIN4.in_adj, CHAIN4.out_adj, 3) == {1, 2}
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
             dominator_tree(C4.out_adj, C4.in_adj, 4)
 
     def test_idom_lies_on_every_path(self):
-        # idom(v) removal makes v unreachable from the root
+        # in the reference tree, idom(v) removal makes v unreachable from
+        # the root, and the inner vertices are those idoms
         for seed in range(30):
             g = random_sc_graph(seed, max_n=15)
-            idom = dominator_tree(g.out_adj, g.in_adj, 0)
+            idom = dominator_tree_iterative(g.out_adj, g.in_adj, 0)
+            assert dominator_tree(g.out_adj, g.in_adj, 0) == \
+                nontrivial(idom, 0)
             for v in range(1, g.n):
                 d = idom[v]
                 assert d is not None
@@ -142,13 +161,13 @@ class TestDominatorTree:
         for k in range(1, 40):
             trees_match_reference(gates(k))
 
-    def test_both_sweeps_from_every_root(self):
-        # a tree whose every immediate dominator is the root is read off
-        # the semidominators; any other takes the second sweep.  The 2VC
-        # check, which stops at the first tree that is not flat, agrees
-        # with the strong articulation points of both trees.  Half the
-        # graphs lose every edge across a split of V - cut, so that cut
-        # (0 too) separates graphs that pass the degree floor.
+    def test_flat_and_deep_from_every_root(self):
+        # fully reached trees with inner vertices and without, from every
+        # root.  The 2VC check, which stops at the first tree with inner
+        # vertices, agrees with the strong articulation points of both
+        # trees.  Half the graphs lose every edge across a split of
+        # V - cut, so that cut (0 too) separates graphs that pass the
+        # degree floor.
         from collections import Counter
 
         kinds, verdicts = Counter(), Counter()
@@ -168,10 +187,11 @@ class TestDominatorTree:
                      if cut in (u, v) or (u < split) == (v < split)}
             for g in build(n, sorted(edges)), build(n, sorted(glued)):
                 for root in range(n):
-                    idom = dominator_tree(g.out_adj, g.in_adj, root)
-                    assert idom == dominator_tree_iterative(
+                    found = dominator_tree(g.out_adj, g.in_adj, root)
+                    assert found == reference_inner(
                         g.out_adj, g.in_adj, root), (g, root)
-                    kinds[set(idom) <= {None, root}] += 1
+                    if found is not None:
+                        kinds[not found] += 1
                 if n < 3:
                     continue
                 two_vc = _is_2vc(n, g.out_adj, g.in_adj)
@@ -191,11 +211,10 @@ class TestDominatorTree:
             drop = {(1, 0), (2, 0), (n - 1, 0)}
             g = build(n, [e for a, b in ladder_pairs("squared", n)
                           for e in ((a, b), (b, a)) if e not in drop])
-            assert dominator_tree(g.out_adj, g.in_adj, 0).count(0) == n - 1
-            idom = dominator_tree(g.in_adj, g.out_adj, 0)
-            assert idom[n - 2] == 0 and _nontrivial(idom, 0) == {n - 2}
+            assert dominator_tree(g.out_adj, g.in_adj, 0) == set()
+            assert dominator_tree(g.in_adj, g.out_adj, 0) == {n - 2}
             if n < 100:
-                assert idom == dominator_tree_iterative(g.in_adj, g.out_adj, 0)
+                assert reference_inner(g.in_adj, g.out_adj, 0) == {n - 2}
             assert not _is_2vc(n, g.out_adj, g.in_adj)
             assert strong_articulation_points_fast(g) == {n - 2}
 
@@ -203,8 +222,7 @@ class TestDominatorTree:
         for k in (2, 3, 5, 8, 1000):
             g = gates(k)
             chain = {3 * i - 2 for i in range(2, k + 1)}
-            assert _nontrivial(
-                dominator_tree(g.out_adj, g.in_adj, 0), 0) == chain
+            assert dominator_tree(g.out_adj, g.in_adj, 0) == chain
             assert strong_articulation_points_fast(g) == chain
             if k <= 8:
                 assert strong_articulation_points_bruteforce(g) == chain
@@ -217,20 +235,20 @@ class TestDominatorTree:
         assert is_2v_strongly_biconnected(algorithm3(g, precheck=False).subgraph)
 
 
-def nontrivial(g, root):
-    return _nontrivial(dominator_tree(g.out_adj, g.in_adj, root), root)
+def inner(g, root):
+    return dominator_tree(g.out_adj, g.in_adj, root)
 
 
 class TestNontrivialDominators:
     def test_fixtures(self):
-        assert nontrivial(DIAMOND, 0) == set()
-        assert nontrivial(CHAIN4, 0) == {1, 2}
-        assert nontrivial(BK4, 0) == set()
+        assert inner(DIAMOND, 0) == set()
+        assert inner(CHAIN4, 0) == {1, 2}
+        assert inner(BK4, 0) == set()
 
     def test_members_disconnect_on_deletion(self):
         for seed in range(30):
             g = random_sc_graph(seed + 600, max_n=20)
-            for d in nontrivial(g, 0):
+            for d in inner(g, 0):
                 h, mapping = delete_vertex(g, d)
                 seen = {mapping[0]}
                 stack = [mapping[0]]
@@ -241,6 +259,37 @@ class TestNontrivialDominators:
                             seen.add(b)
                             stack.append(b)
                 assert len(seen) < h.n
+
+
+    def test_matches_deletion_definition(self):
+        # by definition alone, from every root: None iff some vertex is
+        # unreached, else d is an inner vertex iff G - d leaves some other
+        # vertex unreachable from the root
+        reached = kinds = 0
+        for seed in range(2000):
+            rng, n = rng_below(seed + 120000, 11)
+            n += 2
+            rng, m = rng_below(rng, 3 * n)
+            edges = set()
+            for _ in range(m + n):
+                rng, u = rng_below(rng, n)
+                rng, v = rng_below(rng, n)
+                if u != v:
+                    edges.add((u, v))
+            g = build(n, sorted(edges))
+            for root in range(n):
+                if reached_without(g, root) < n:
+                    assert inner(g, root) is None, (g, root)
+                    continue
+                result = inner(g, root)
+                assert result == {
+                    d for d in range(n)
+                    if d != root and reached_without(g, root, d) < n - 1
+                }, (g, root)
+                reached += 1
+                kinds += bool(result)
+        assert reached >= 5000 and min(kinds, reached - kinds) >= 1000, (
+            reached, kinds)
 
 
 class TestReverse:

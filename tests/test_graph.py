@@ -309,6 +309,17 @@ class TestParsePasses:
                     if case in ("as-written", "zero-padded"):
                         assert got[0] == g
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n0 0\n", "line 3: self-loop (0, 0) not allowed"),
+        ("3 2\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+        ("3 2\n0 1\n0 3\n", "line 3: edge (0, 3) endpoint out of range [0, 3)"),
+    ], ids=["self-loop", "duplicate", "out-of-range"])
+    def test_line_pass_checks_each_edge(self, text, message):
+        # its edges go to the graph unchecked, so each check is its own
+        with pytest.raises(ParseError) as exc:
+            _parse_lines(text)
+        assert str(exc.value) == message
+
     def test_canonical_text_takes_one_pass(self, monkeypatch):
         def no_line_pass(text):
             raise AssertionError("line pass called")
